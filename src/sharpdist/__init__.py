@@ -31,9 +31,9 @@ from .profiles import (AlgebraicCutoff, AlgebraicTail, AmplitudeProfile,
                        ExponentialCutoff, ExponentialTail, Lumps,
                        UniformWindow)
 from .scaling import (DELTA_SCALINGS, FailureReport, PowerLawFit,
-                      ScalingResult, SweepRecord, algebraic_tail_builder,
-                      analyze_sweep, bounded_window_builder,
-                      default_n_values, exponential_tail_builder,
-                      failure_mode_demo, fit_power_law, sweep, sweep_point)
+                      SweepRecord, algebraic_tail_builder,
+                      bounded_window_builder, default_n_values,
+                      exponential_tail_builder, failure_mode_demo,
+                      fit_power_law, sweep, sweep_point)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

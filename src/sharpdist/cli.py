@@ -32,10 +32,9 @@ from .distribution import (GridPolicy, build_distribution, lump_mass_fractions,
 from .dos import ising_chain_spectrum
 from .errors import DivergenceError, EmptyOverlapError, NoMaximumError
 from .oracle import compare_discrete_continuum, prepare_state
-from .scaling import (algebraic_tail_builder, analyze_sweep,
-                      bounded_window_builder, default_n_values,
-                      exponential_tail_builder, failure_mode_demo,
-                      sweep_point)
+from .scaling import (algebraic_tail_builder, bounded_window_builder,
+                      default_n_values, exponential_tail_builder,
+                      failure_mode_demo, fit_power_law, sweep_point)
 
 OUT_DIR_ENV = "SHARPDIST_OUT"
 
@@ -51,7 +50,6 @@ DIST_DEFAULTS = {
     "model.kind": "ideal-gas",
     "model.n": "100",
     "model.ln_prefactor": "0.0",
-    "model.v": "1.0",
     "profile.variant": "uniform-window",
     "profile.e_min": "0.0",
     "profile.e_max": "1.0",
@@ -88,7 +86,6 @@ FIG1_DEFAULTS = {
     "model.kind": "ideal-gas",
     "model.n": "100",
     "model.ln_prefactor": "0.0",
-    "model.v": "1.0",
     "bounded.e0": "0.3",
     "bounded.e_max": "1.0",
     "bounded.alpha": "2.0",
@@ -109,7 +106,6 @@ FAILURE_DEFAULTS = {
     "model.kind": "ideal-gas",
     "model.n": "100",
     "model.ln_prefactor": "0.0",
-    "model.v": "1.0",
     "seed": "0",
     **GRID_DEFAULTS,
 }
@@ -206,9 +202,8 @@ def run_scaling(cfg, out_dir: Path) -> list:
             skipped.append("N=%d skipped: %s" % (n, exc))
     fit = None
     if len(records) >= 3:
-        result = analyze_sweep(records, get_str(cfg, "sweep.preset"))
-        fit = result
-        print("kappa_fit=%r r2=%r" % (result.kappa, result.r_squared))
+        fit = fit_power_law(records)
+        print("kappa_fit=%r r2=%r" % (fit.kappa, fit.r_squared))
     comments = _comments("scaling", cfg)
     files = [write_sweep_csv(out_dir / "sweep.csv", records, fit, comments, skipped)]
     if fit is None:

@@ -45,8 +45,15 @@ def get_float(cfg: Mapping, key: str, default=None) -> float:
     return float(_get(cfg, key, default))
 
 
+def _integral(key: str, raw) -> int:
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError("config key %r must be an integer, got %r" % (key, raw))
+    return int(value)
+
+
 def get_int(cfg: Mapping, key: str, default=None) -> int:
-    return int(float(_get(cfg, key, default)))
+    return _integral(key, _get(cfg, key, default))
 
 
 def get_str(cfg: Mapping, key: str, default=None) -> str:
@@ -55,7 +62,7 @@ def get_str(cfg: Mapping, key: str, default=None) -> str:
 
 def get_int_list(cfg: Mapping, key: str, default=None):
     raw = str(_get(cfg, key, default))
-    return [int(float(tok)) for tok in raw.split(",") if tok.strip()]
+    return [_integral(key, tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _power_entropy(coeff: float, exponent: float):
@@ -87,21 +94,19 @@ def _log_entropy(coeff: float):
 def model_from_config(cfg: Mapping, prefix: str = "model.") -> object:
     """Build a density-of-states model from config keys under ``prefix``.
 
-    Kinds: ideal-gas (n, ln_prefactor, v), ising-chain (n, j, v), and
+    Kinds: ideal-gas (n, ln_prefactor), ising-chain (n, j), and
     custom-entropy with form=power (s = coeff * e**exponent) or form=log
-    (s = coeff * ln e), plus an optional per-particle domain.
+    (s = coeff * ln e), plus an optional per-particle domain and the
+    volume per particle v handed to the entropy.
     """
     kind = get_str(cfg, prefix + "kind")
     n = get_int(cfg, prefix + "n")
-    v = get_float(cfg, prefix + "v", "1.0")
     if kind == "ideal-gas":
         return IdealGas(n_particles=n,
-                        ln_prefactor=get_float(cfg, prefix + "ln_prefactor", "0.0"),
-                        volume_per_particle=v)
+                        ln_prefactor=get_float(cfg, prefix + "ln_prefactor", "0.0"))
     if kind == "ising-chain":
         return IsingChain(n_particles=n,
-                          coupling=get_float(cfg, prefix + "j", "1.0"),
-                          volume_per_particle=v)
+                          coupling=get_float(cfg, prefix + "j", "1.0"))
     if kind == "custom-entropy":
         form = get_str(cfg, prefix + "form")
         coeff = get_float(cfg, prefix + "coeff")
@@ -116,7 +121,7 @@ def model_from_config(cfg: Mapping, prefix: str = "model.") -> object:
         return CustomEntropy(n_particles=n, entropy=s, entropy_d1=d1, entropy_d2=d2,
                              domain_per_particle=(lo, hi),
                              ln_prefactor=get_float(cfg, prefix + "ln_prefactor", "0.0"),
-                             volume_per_particle=v)
+                             volume_per_particle=get_float(cfg, prefix + "v", "1.0"))
     raise ValueError("unknown model kind %r" % kind)
 
 

@@ -3,6 +3,9 @@
 The distribution is the pointwise product of an amplitude profile and a
 density of states, normalized by trapezoid quadrature through log-sum-exp
 so that log-weights spanning thousands of nats never overflow or underflow.
+One rule serves every integral: each segment's uniform step h gives the
+weights h*(1/2, 1, ..., 1, 1/2) behind the refinement test, the
+normalization, the moments and the segment masses.
 
 Grid policy: each connected piece of (profile support intersected with the
 model domain) receives its own uniform grid covering the region where the
@@ -21,17 +24,21 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DivergenceError, DomainError, EmptyOverlapError, NoMaximumError
 from .numerics import (LN2, bisect_crossing, bracket_root_geometric,
-                       compensated_sum, golden_section_max,
-                       newton_bisect_root, trapezoid_weights)
+                       compensated_sum, golden_section_max, log_sum_exp,
+                       newton_bisect_root)
 from .profiles import ExponentialTail, Lumps
 
 # a power-law tail must fall at least this much faster than 1/E to count as
 # integrable; slopes at or above it raise DivergenceError
 _SLOPE_MARGIN = 1e-6
+
+# points of each linear and logarithmic scan that locates a piece's peak
+_COARSE_POINTS = 2049
+# doublings allowed while pushing a half-infinite piece's right edge out
+_MAX_EXPAND_DOUBLINGS = 500
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,6 @@ class GridPolicy:
     max_points: int = 4_194_305
     refine_tol: float = 1e-10
     window_nats: float = 60.0
-    coarse_points: int = 2049
-    max_expand_doublings: int = 500
 
     def __post_init__(self):
         if self.initial_points < 9:
@@ -57,13 +62,17 @@ DEFAULT_POLICY = GridPolicy()
 
 @dataclass(frozen=True)
 class Segment:
-    """Index range [start, stop) of one support piece inside the grid arrays."""
+    """Index range [start, stop) of one support piece inside the grid arrays.
+
+    ``step`` is the piece's uniform grid spacing, the h of its trapezoid rule.
+    """
 
     start: int
     stop: int
     support_index: int
     left_at_edge: bool
     right_at_edge: bool
+    step: float
 
 
 @dataclass(frozen=True)
@@ -95,23 +104,14 @@ class EnergyDistribution:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "ln_w", w)
 
-    def ln_weight_at(self, energy):
-        """Continuous ln W(E): profile plus density minus the normalization."""
-        return self.profile.ln_amp_sq(energy) + self.model.ln_density(energy) - self.ln_norm
-
-    @cached_property
-    def quadrature_weights(self) -> np.ndarray:
-        w = np.zeros_like(self.grid)
-        for seg in self.segments:
-            w[seg.start:seg.stop] = trapezoid_weights(self.grid[seg.start:seg.stop])
-        w.setflags(write=False)
-        return w
-
     @cached_property
     def point_masses(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            lm = self.ln_w + np.log(self.quadrature_weights)
-        p = np.exp(lm)
+        """exp(ln_w) times each point's trapezoid weight h*(1/2, 1, ..., 1, 1/2)."""
+        p = np.exp(self.ln_w)
+        for seg in self.segments:
+            p[seg.start:seg.stop] *= seg.step
+            p[seg.start] *= 0.5
+            p[seg.stop - 1] *= 0.5
         p.setflags(write=False)
         return p
 
@@ -121,12 +121,8 @@ class EnergyDistribution:
 
     def segment_ln_masses(self):
         """Log of the probability mass carried by each segment."""
-        out = []
-        with np.errstate(divide="ignore"):
-            lm = self.ln_w + np.log(self.quadrature_weights)
-        for seg in self.segments:
-            out.append(float(logsumexp(lm[seg.start:seg.stop])))
-        return out
+        return [_segment_log_trapezoid(self.ln_w[seg.start:seg.stop], seg.step)
+                for seg in self.segments]
 
 
 @dataclass(frozen=True)
@@ -177,6 +173,27 @@ def _overlap_components(profile, model):
     return comps
 
 
+def _log_weight(model, profile):
+    """The unnormalized log-weight E -> ln|a(E)|^2 + ln dGamma/dE."""
+    def lnh(energy):
+        return profile.ln_amp_sq(energy) + model.ln_density(energy)
+    return lnh
+
+
+def _checked(energies, values):
+    """``values`` as an array, or DomainError naming the first NaN's energy.
+
+    A NaN is no weight that can be integrated; unchecked, argmax would pick
+    it as the peak and the piece would be dropped as weightless.
+    """
+    values = np.asarray(values)
+    nan = np.isnan(values)
+    if nan.any():
+        raise DomainError("log-weight is NaN at E = %r"
+                          % float(energies[int(np.argmax(nan))]))
+    return values
+
+
 def _grow_right_edge(lnh, lo, policy):
     """Finite right bound for a half-infinite piece, past the window cut.
 
@@ -188,7 +205,7 @@ def _grow_right_edge(lnh, lo, policy):
     x = max(1.0, 2.0 * abs(lo))
     prev_v = lnh(x)
     best = prev_v
-    for _ in range(policy.max_expand_doublings):
+    for _ in range(_MAX_EXPAND_DOUBLINGS):
         x *= 2.0
         v = lnh(x)
         best = max(best, v)
@@ -205,7 +222,7 @@ def _grow_right_edge(lnh, lo, policy):
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
         "the distribution has no normalizable peak"
-        % (policy.window_nats, policy.max_expand_doublings))
+        % (policy.window_nats, _MAX_EXPAND_DOUBLINGS))
 
 
 def _component_window(lnh, lo, hi, support_index, knots, policy):
@@ -213,17 +230,17 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     half_infinite = math.isinf(hi)
     hi_eff = _grow_right_edge(lnh, lo, policy) if half_infinite else hi
 
-    candidates = [np.linspace(lo, hi_eff, policy.coarse_points)]
+    candidates = [np.linspace(lo, hi_eff, _COARSE_POINTS)]
     if lo >= 0.0 and hi_eff > 0.0:
         # log-spaced scan so peaks many decades below hi_eff are still seen
         gl = max(lo, hi_eff * 1e-15)
         if 0.0 < gl < hi_eff:
-            candidates.append(np.geomspace(gl, hi_eff, policy.coarse_points))
+            candidates.append(np.geomspace(gl, hi_eff, _COARSE_POINTS))
     interior_knots = [k for k in knots if lo < k < hi_eff]
     if interior_knots:
         candidates.append(np.asarray(interior_knots, dtype=float))
     cand = np.unique(np.concatenate(candidates))
-    vals = np.asarray(lnh(cand))
+    vals = _checked(cand, lnh(cand))
     i = int(np.argmax(vals))
     if not np.isfinite(vals[i]):
         return None  # piece carries no weight at all
@@ -237,7 +254,7 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     if half_infinite:
         # the running-max threshold during growth may have been below the
         # true peak; push the edge further if the window is not yet closed
-        guard = policy.max_expand_doublings
+        guard = _MAX_EXPAND_DOUBLINGS
         while lnh(hi_eff) >= lnh_star - policy.window_nats and guard > 0:
             hi_eff *= 2.0
             guard -= 1
@@ -262,13 +279,6 @@ def _segment_grid(lo, hi, n, step):
     return g
 
 
-def _log_sum(values):
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return -math.inf
-    return m + math.log(float(np.exp(values - m).sum()))
-
-
 def _segment_log_trapezoid(values, step):
     """ln of the uniform-step trapezoid integral of exp(values)."""
     m = float(np.max(values))
@@ -286,7 +296,7 @@ def _refined_log_trapezoid(prev, mid_values, half_step):
 
     T(h/2) = T(h)/2 + (h/2) * sum over the new midpoints, carried in logs.
     """
-    mid = _log_sum(mid_values)
+    mid = log_sum_exp(mid_values)
     if mid == -math.inf:
         return prev - LN2
     return float(np.logaddexp(prev - LN2, math.log(half_step) + mid))
@@ -298,9 +308,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     Raises EmptyOverlapError when support and domain do not meet, and
     DivergenceError when the combined weight has no normalizable peak.
     """
-    def lnh(energy):
-        return profile.ln_amp_sq(energy) + model.ln_density(energy)
-
+    lnh = _log_weight(model, profile)
     comps = _overlap_components(profile, model)
     knots = profile.knots()
     windows = []
@@ -314,44 +322,43 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
 
     n = policy.initial_points
     steps = [(w.hi - w.lo) / (n - 1) for w in windows]
-    grids = [_segment_grid(w.lo, w.hi, n, h) for w, h in zip(windows, steps)]
-    values = [np.asarray(lnh(g)) for g in grids]
+    values = []
+    for w, h in zip(windows, steps):
+        g = _segment_grid(w.lo, w.hi, n, h)
+        values.append(_checked(g, lnh(g)))
     seg_log_ints = [_segment_log_trapezoid(v, h) for v, h in zip(values, steps)]
-    ln_norm = float(logsumexp(seg_log_ints))
-    while True:
-        n_next = 2 * (n - 1) + 1
-        if n_next > policy.max_points:
-            break
+    ln_norm = log_sum_exp(seg_log_ints)
+    while 2 * (n - 1) + 1 <= policy.max_points:
+        n = 2 * (n - 1) + 1
         # halving the step is exact, so even-index points of the refined grid
-        # coincide bitwise with the previous level; values are reused and the
-        # trapezoid sums are updated from the new midpoints alone
+        # coincide bitwise with the previous level; values are reused and only
+        # the new midpoints lo + h*(1, 3, 5, ...) are evaluated
         steps = [0.5 * h for h in steps]
-        grids = [_segment_grid(w.lo, w.hi, n_next, h) for w, h in zip(windows, steps)]
-        for k, (g, v_old) in enumerate(zip(grids, values)):
-            v = np.empty(n_next)
-            v[::2] = v_old
-            mid = np.asarray(lnh(g[1::2]))
+        for k, (w, h) in enumerate(zip(windows, steps)):
+            g_mid = w.lo + h * np.arange(1, n, 2)
+            mid = _checked(g_mid, lnh(g_mid))
+            v = np.empty(n)
+            v[::2] = values[k]
             v[1::2] = mid
             values[k] = v
-            seg_log_ints[k] = _refined_log_trapezoid(seg_log_ints[k], mid, steps[k])
-        ln_next = float(logsumexp(seg_log_ints))
+            seg_log_ints[k] = _refined_log_trapezoid(seg_log_ints[k], mid, h)
+        ln_next = log_sum_exp(seg_log_ints)
         converged = abs(ln_next - ln_norm) < policy.refine_tol
-        n, ln_norm = n_next, ln_next
+        ln_norm = ln_next
         if converged:
             break
 
-    segments = []
-    offset = 0
-    for w, g in zip(windows, grids):
-        segments.append(Segment(offset, offset + g.size, w.support_index,
-                                w.left_at_edge, w.right_at_edge))
-        offset += g.size
-    grid = np.concatenate(grids)
-    ln_w = np.concatenate(values) - ln_norm
+    ln_w = np.concatenate(values)
+    ln_w -= ln_norm
+    del values  # frees one grid's worth of memory before the grid is built
+    grid = np.concatenate([_segment_grid(w.lo, w.hi, n, h) for w, h in zip(windows, steps)])
+    segments = tuple(Segment(k * n, (k + 1) * n, w.support_index, w.left_at_edge,
+                             w.right_at_edge, h)
+                     for k, (w, h) in enumerate(zip(windows, steps)))
     if np.any(np.diff(grid) <= 0.0):
         raise RuntimeError("internal error: assembled grid is not strictly increasing")
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
-                              segments=tuple(segments), model=model,
+                              segments=segments, model=model,
                               profile=profile, policy=policy)
 
 
@@ -383,11 +390,8 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
         return PeakResult(float(dist.grid[i]), True)
     lo = dist.grid[max(i - 1, seg.start)]
     hi = dist.grid[min(i + 1, seg.stop - 1)]
-
-    def lnh(energy):
-        return dist.profile.ln_amp_sq(energy) + dist.model.ln_density(energy)
-
-    e_star, v_star = golden_section_max(lnh, float(lo), float(hi), rel_tol=rel_tol)
+    e_star, v_star = golden_section_max(_log_weight(dist.model, dist.profile),
+                                        float(lo), float(hi), rel_tol=rel_tol)
     if v_star < dist.ln_w[i] + dist.ln_norm:
         e_star = float(dist.grid[i])
     return PeakResult(e_star, False)
@@ -415,8 +419,7 @@ def bounded_profile_prediction(model, profile, reevaluate_at_mean: bool = False)
     return BoundedPrediction(eps=eps, mean=e_edge - eps, width=eps)
 
 
-def tail_profile_prediction(model, profile: ExponentialTail,
-                            max_doublings: int = 200) -> TailPrediction:
+def tail_profile_prediction(model, profile: ExponentialTail) -> TailPrediction:
     """Saddle-point mean and curvature width for a stretched-exponential tail.
 
     The mean solves s'(E/N) = kappa E^(kappa-1) / delta^kappa on a bracket
@@ -438,7 +441,7 @@ def tail_profile_prediction(model, profile: ExponentialTail,
         d2 = model.entropy_derivatives(energy / n)[2]
         return d2 / n - kap * (kap - 1.0) * energy ** (kap - 2.0) / dk
 
-    lo, hi = bracket_root_geometric(g, profile.delta, max_doublings)
+    lo, hi = bracket_root_geometric(g, profile.delta)
     mean = lo if lo == hi else newton_bisect_root(g, dg, lo, hi)
     curvature = dg(mean)
     if not curvature < 0.0:

@@ -21,14 +21,10 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, polygamma, psi
 
 from .errors import DomainError
-from .numerics import LN2, central_difference
+from .numerics import LN2, _finish, central_difference
 
 # relative step for finite-difference entropy derivatives of custom models
 FD_RELATIVE_STEP = 1e-5
-
-
-def _finish(energy_in, out):
-    return float(out) if np.ndim(energy_in) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,6 @@ class IdealGas:
 
     n_particles: int
     ln_prefactor: float = 0.0
-    volume_per_particle: float = 1.0
     kind: str = field(default="ideal-gas", init=False, repr=False)
 
     def __post_init__(self):
@@ -138,7 +133,6 @@ class IsingChain:
 
     n_particles: int
     coupling: float = 1.0
-    volume_per_particle: float = 1.0
     kind: str = field(default="ising-chain", init=False, repr=False)
 
     def __post_init__(self):

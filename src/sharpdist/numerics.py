@@ -1,8 +1,8 @@
 """Log-domain arithmetic and scalar solver primitives.
 
 Everything here is elementary numerics: stable log-space differences,
-trapezoid rules expressed through log-sum-exp, bracketed scalar
-maximization and root finding.  No physics enters this module.
+the log-sum-exp, accurate summation, bracketed scalar maximization and
+root finding.  No physics enters this module.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NoMaximumError
 
@@ -19,6 +18,11 @@ LN2 = math.log(2.0)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _finish(energy_in, out):
+    """Return ``out`` as a float when the energy argument was a scalar."""
+    return float(out) if np.ndim(energy_in) == 0 else out
 
 
 def log_one_minus_exp(g):
@@ -38,22 +42,16 @@ def log_one_minus_exp(g):
     return out
 
 
-def log_diff_exp(a, b):
-    """ln(exp(a) - exp(b)) for a >= b, computed without leaving the log domain.
+def log_sum_exp(values) -> float:
+    """ln of the sum of exp(values), shifted by the maximum so nothing overflows.
 
-    Returns -inf when the two terms cancel to working precision (including
-    a == b == -inf).  Accepts scalars or arrays.
+    A non-finite maximum is returned as is: -inf when every value is -inf.
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr > a_arr):
-        raise ValueError("log_diff_exp requires a >= b elementwise")
-    with np.errstate(invalid="ignore"):
-        out = a_arr + log_one_minus_exp(b_arr - a_arr)
-    out = np.where(a_arr == b_arr, -np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    values = np.asarray(values, dtype=float)
+    m = float(np.max(values))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.exp(values - m).sum()))
 
 
 def compensated_sum(values) -> float:
@@ -68,24 +66,6 @@ def compensated_sum(values) -> float:
         return math.fsum(arr)
     partials = np.add.reduceat(arr, np.arange(0, arr.size, 4096))
     return math.fsum(partials)
-
-
-def trapezoid_weights(x):
-    """Trapezoid quadrature weights for the (sorted) abscissas ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        return np.zeros_like(x)
-    w = np.empty_like(x)
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    return w
-
-
-def log_trapezoid(x, ln_f):
-    """ln of the trapezoid integral of exp(ln_f) over the grid ``x``."""
-    with np.errstate(invalid="ignore"):
-        return float(logsumexp(ln_f, b=trapezoid_weights(x)))
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,

@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import log_one_minus_exp
+from .numerics import _finish, log_one_minus_exp
 
 INF = math.inf
-
-
-def _finish(energy_in, out):
-    return float(out) if np.ndim(energy_in) == 0 else out
 
 
 class AmplitudeProfile:
@@ -40,10 +36,6 @@ class AmplitudeProfile:
         """List of (lo, hi) intervals where ln_amp_sq exceeds -inf."""
         raise NotImplementedError
 
-    def derivative_ln_amp_sq(self, energy):
-        """(d/dE, d2/dE2) of ln|a(E)|^2 at a point strictly inside the support."""
-        raise NotImplementedError
-
     def knots(self):
         """Interior energies where the shape is only piecewise smooth."""
         return ()
@@ -56,12 +48,6 @@ class AmplitudeProfile:
         if not math.isfinite(hi):
             raise DomainError("profile support is not bounded above")
         return hi
-
-    def _require_interior(self, energy: float) -> None:
-        for lo, hi in self.support():
-            if lo < energy < hi:
-                return
-        raise DomainError("E = %g is not strictly inside the profile support" % energy)
 
 
 @dataclass(frozen=True)
@@ -99,26 +85,6 @@ class AlgebraicCutoff(AmplitudeProfile):
             vals = np.log(np.where(positive, shape, 1.0)) + self.ln_scale
         out = np.where(positive, vals, -np.inf)
         return _finish(energy, out)
-
-    def derivative_ln_amp_sq(self, energy):
-        energy = float(energy)
-        self._require_interior(energy)
-        a = self.alpha
-        c = self._edge_pow
-        u = energy - self.e0
-        if u == 0.0:
-            if a <= 1.0:
-                raise DomainError("shape has a cusp at e0")
-            if a == 2.0:
-                return 0.0, -2.0 / c
-            return (0.0, 0.0) if a > 2.0 else (0.0, -INF)
-        w = abs(u)
-        sgn = math.copysign(1.0, u)
-        shape = c - w ** a
-        g1 = a * w ** (a - 1.0)
-        first = -sgn * g1 / shape
-        second = -(a * (a - 1.0) * w ** (a - 2.0)) / shape - (g1 * g1) / (shape * shape)
-        return first, second
 
 
 @dataclass(frozen=True)
@@ -168,29 +134,6 @@ class ExponentialCutoff(AmplitudeProfile):
         out = np.where(inside, vals, -np.inf)
         return _finish(energy, out)
 
-    def derivative_ln_amp_sq(self, energy):
-        energy = float(energy)
-        self._require_interior(energy)
-        g = self.gamma_exp
-        e1 = self.e1
-        u = energy - self.e0
-        w_edge = self._edge_exponent
-        if u == 0.0:
-            if g <= 1.0:
-                raise DomainError("shape has a cusp at e0")
-            if g == 2.0:
-                return 0.0, -(2.0 / (e1 * e1)) / (-math.expm1(-w_edge))
-            return (0.0, 0.0) if g > 2.0 else (0.0, -INF)
-        w = (abs(u) / e1) ** g
-        sgn = math.copysign(1.0, u)
-        dw = sgn * (g / e1) * (abs(u) / e1) ** (g - 1.0)
-        d2w = (g * (g - 1.0) / (e1 * e1)) * (abs(u) / e1) ** (g - 2.0)
-        denom = -math.expm1(w - w_edge)  # 1 - exp(w - W) without cancellation
-        r = 1.0 - denom
-        first = -dw / denom
-        second = -d2w / denom - (dw * dw) * r / (denom * denom)
-        return first, second
-
 
 @dataclass(frozen=True)
 class ExponentialTail(AmplitudeProfile):
@@ -216,15 +159,6 @@ class ExponentialTail(AmplitudeProfile):
         scaled = np.where(nonneg, e_arr, 0.0) / self.delta
         out = np.where(nonneg, self.ln_scale - scaled ** self.kappa, -np.inf)
         return _finish(energy, out)
-
-    def derivative_ln_amp_sq(self, energy):
-        energy = float(energy)
-        self._require_interior(energy)
-        k = self.kappa
-        dk = self.delta ** k
-        first = -k * energy ** (k - 1.0) / dk
-        second = -k * (k - 1.0) * energy ** (k - 2.0) / dk
-        return first, second
 
 
 @dataclass(frozen=True)
@@ -257,15 +191,6 @@ class AlgebraicTail(AmplitudeProfile):
         out = np.where(nonneg, vals + self.ln_scale, -np.inf)
         return _finish(energy, out)
 
-    def derivative_ln_amp_sq(self, energy):
-        energy = float(energy)
-        self._require_interior(energy)
-        if energy == self.e_ref:
-            raise DomainError("shape has a kink at e_ref")
-        if energy < self.e_ref:
-            return 0.0, 0.0
-        return -self.decay / energy, self.decay / (energy * energy)
-
 
 @dataclass(frozen=True)
 class UniformWindow(AmplitudeProfile):
@@ -287,10 +212,6 @@ class UniformWindow(AmplitudeProfile):
         inside = (e_arr >= self.e_min) & (e_arr <= self.e_max)
         out = np.where(inside, 0.0, -np.inf)
         return _finish(energy, out)
-
-    def derivative_ln_amp_sq(self, energy):
-        self._require_interior(float(energy))
-        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -348,13 +269,6 @@ class Lumps(AmplitudeProfile):
             if np.any(mask):
                 out = np.where(mask, sub.ln_amp_sq(e_arr), out)
         return _finish(energy, out)
-
-    def derivative_ln_amp_sq(self, energy):
-        energy = float(energy)
-        for lo, hi, sub in self.pieces:
-            if lo < energy < hi:
-                return sub.derivative_ln_amp_sq(energy)
-        raise DomainError("E = %g is not strictly inside any lump" % energy)
 
 
 def profile_classes():

@@ -37,15 +37,6 @@ class PowerLawFit:
 
 
 @dataclass(frozen=True)
-class ScalingResult:
-    records: tuple
-    kappa: float
-    intercept: float
-    r_squared: float
-    regime_label: str
-
-
-@dataclass(frozen=True)
 class FailureReport:
     """Outcome of a tailored broad-or-divergent demonstration run."""
 
@@ -104,13 +95,6 @@ def fit_power_law(records) -> PowerLawFit:
     ss_tot = float(np.sum((y - ym) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return PowerLawFit(kappa=-slope, intercept=intercept, r_squared=r_squared)
-
-
-def analyze_sweep(records, regime_label: str) -> ScalingResult:
-    fit = fit_power_law(records)
-    return ScalingResult(records=tuple(records), kappa=fit.kappa,
-                         intercept=fit.intercept, r_squared=fit.r_squared,
-                         regime_label=regime_label)
 
 
 def default_n_values(decade_lo: int = 2, decade_hi: int = 4, per_decade: int = 5):

@@ -82,6 +82,22 @@ def test_dist_divergent_profile_exits_nonzero(tmp_path, capsys):
     assert "DivergenceError" in capsys.readouterr().err
 
 
+def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
+    assert main(["dist", "--out", str(tmp_path),
+                 "--set", "grid.max_points=4097.9"]) == 2
+    assert "grid.max_points" in capsys.readouterr().err
+
+
+def test_dist_nan_log_weight_is_config_error(tmp_path, capsys):
+    # s = e**0.5 is NaN at the negative energies this custom domain admits
+    code = main(["dist", "--out", str(tmp_path),
+                 "--set", "model.kind=custom-entropy", "--set", "model.form=power",
+                 "--set", "model.coeff=1.0", "--set", "model.exponent=0.5",
+                 "--set", "model.domain_lo=-1.0", "--set", "profile.e_min=-1.0"])
+    assert code == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_scaling_bounded_preset(tmp_path):
     assert main(["scaling", "--out", str(tmp_path),
                  "--set", "sweep.n_list=100,316,1000"]) == 0

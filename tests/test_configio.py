@@ -6,6 +6,7 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        ExponentialTail, IdealGas, IsingChain, Lumps,
                        UniformWindow, format_kv, model_from_config,
                        parse_kv_text, profile_from_config, profile_to_config)
+from sharpdist.configio import get_int, get_int_list
 
 
 def test_parse_kv_basics():
@@ -95,3 +96,16 @@ def test_profile_from_config_errors():
     with pytest.raises(ValueError, match="profile.delta"):
         profile_from_config({"profile.variant": "exponential-tail",
                              "profile.kappa": "1.0"})
+
+
+def test_integer_keys_reject_non_integral_values():
+    cfg = {"a": "4097.9", "b": "4097.0", "c": "1e3", "d": "100,250.5", "e": "100, 2e2"}
+    with pytest.raises(ValueError, match="'a'"):
+        get_int(cfg, "a")
+    assert get_int(cfg, "b") == 4097
+    assert get_int(cfg, "c") == 1000
+    with pytest.raises(ValueError, match="'d'"):
+        get_int_list(cfg, "d")
+    assert get_int_list(cfg, "e") == [100, 200]
+    with pytest.raises(ValueError, match="model.n"):
+        model_from_config({"model.kind": "ideal-gas", "model.n": "100.5"})

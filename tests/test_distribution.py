@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpdist import (AlgebraicTail, CustomEntropy, DivergenceError,
-                       EmptyOverlapError, ExponentialTail, GridPolicy,
-                       IdealGas, Lumps, UniformWindow,
+                       DomainError, EmptyOverlapError, ExponentialTail,
+                       GridPolicy, IdealGas, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
                        lump_mass_fractions, microcanonical_entropy, moments,
                        peak, refine_once, summarize, tail_profile_prediction)
+from sharpdist.numerics import compensated_sum
 
 from oracles import (gamma_moments, monomial_window_moments,
                      two_lump_lower_fraction)
@@ -168,6 +171,52 @@ def test_lump_fractions_two_lump_concentration():
 def test_single_lump_fraction_is_one():
     dist = build_checked(IdealGas(100), Lumps.uniform([(0.2, 0.9)]))
     assert lump_mass_fractions(dist) == [pytest.approx(1.0, abs=1e-9)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(lo=st.floats(min_value=0.0, max_value=1.0),
+       widths=st.tuples(st.floats(min_value=0.01, max_value=1.0),
+                        st.floats(min_value=0.01, max_value=1.0),
+                        st.floats(min_value=0.01, max_value=1.0)),
+       n_particles=st.integers(min_value=2, max_value=1000))
+def test_segment_and_point_masses_share_one_trapezoid_rule(lo, widths, n_particles):
+    """Segment masses, point masses and lump fractions all integrate to 1."""
+    w0, gap, w1 = widths
+    lumps = Lumps.uniform([(lo, lo + w0), (lo + w0 + gap, lo + w0 + gap + w1)])
+    policy = GridPolicy(initial_points=65, max_points=1025)
+    dist = build_distribution(IdealGas(n_particles), lumps, policy)
+    segment_total = math.fsum(math.exp(lm) for lm in dist.segment_ln_masses())
+    assert abs(segment_total - 1.0) < 1e-12
+    assert abs(segment_total - compensated_sum(dist.point_masses)) < 1e-12
+    assert abs(math.fsum(lump_mass_fractions(dist)) - 1.0) < 1e-12
+
+
+# first-level grid step of a flat weight on [0.25, 1], whose build converges
+# after one refinement; a band of half-width H/2048 around a grid point holds
+# no other point of any level up to the default cap
+_H = 0.75 / 4096
+
+
+@pytest.mark.parametrize("profile, band", [
+    (Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]), (0.0, 0.5)),
+    (UniformWindow(0.25, 1.0), (0.25 + (1001 - 1 / 2048) * _H, 0.25 + (1001 + 1 / 2048) * _H)),
+    (UniformWindow(0.25, 1.0), (0.25 + (1001.5 - 1 / 2048) * _H, 0.25 + (1001.5 + 1 / 2048) * _H)),
+], ids=["peak-scan", "first-level", "refinement-midpoints"])
+def test_nan_log_weight_raises_domain_error(profile, band):
+    """A NaN log-weight fails loudly at the first NaN energy, never reads as -inf.
+
+    The first band is a whole lump, met by the peak scan (it used to come
+    back with lump fraction 0).  The second holds one first-level grid point
+    between scan points; the third holds one midpoint of the first
+    refinement and no other grid point.
+    """
+    lo, hi = band
+    model = CustomEntropy(2, entropy=lambda e, v: np.where((lo < 2.0 * e) & (2.0 * e < hi),
+                                                           np.nan, 0.0))
+    with pytest.raises(DomainError, match="NaN") as info:
+        build_distribution(model, profile)
+    energy = float(str(info.value).rsplit("=", 1)[1])
+    assert lo < energy < hi
 
 
 def test_lump_fractions_require_lumps_profile():

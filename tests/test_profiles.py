@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpdist import (AlgebraicCutoff, AlgebraicTail, DomainError,
-                       ExponentialCutoff, ExponentialTail, Lumps,
-                       UniformWindow)
-from sharpdist.numerics import central_difference
+from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
+                       ExponentialTail, Lumps, UniformWindow)
 
 
 def test_algebraic_cutoff_values():
@@ -35,71 +33,6 @@ def test_uniform_window_values():
     assert prof.ln_amp_sq(1.0) == 0.0
     assert prof.support() == [(0.0, 1.0)]
     assert prof.upper_edge() == 1.0
-
-
-def test_exponential_tail_derivatives():
-    prof = ExponentialTail(delta=1.0, kappa=1.0)
-    assert prof.derivative_ln_amp_sq(0.7) == (pytest.approx(-1.0), pytest.approx(0.0))
-    prof2 = ExponentialTail(delta=2.0, kappa=2.0)
-    d1, d2 = prof2.derivative_ln_amp_sq(1.0)
-    assert d1 == pytest.approx(-0.5)
-    assert d2 == pytest.approx(-0.5)
-
-
-def test_algebraic_cutoff_derivative_with_fd_cross_check():
-    prof = AlgebraicCutoff(e0=0.0, e_max=1.0, alpha=1.0)
-    d1, _ = prof.derivative_ln_amp_sq(0.5)
-    assert d1 == pytest.approx(-2.0, rel=1e-12)
-    fd1, _ = central_difference(prof.ln_amp_sq, 0.5, 1e-6)
-    assert d1 == pytest.approx(fd1, rel=1e-6)
-
-
-def test_derivatives_require_interior_point():
-    prof = AlgebraicCutoff(e0=0.0, e_max=1.0, alpha=2.0)
-    with pytest.raises(DomainError):
-        prof.derivative_ln_amp_sq(1.0)
-    with pytest.raises(DomainError):
-        prof.derivative_ln_amp_sq(2.0)
-    tail = AlgebraicTail(decay=3.0, e_ref=1.0)
-    with pytest.raises(DomainError):
-        tail.derivative_ln_amp_sq(1.0)  # kink point
-
-
-def _fd_points(lo, hi, knots):
-    """Probe points inside (lo, hi) staying clear of edges and kinks."""
-    pts = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 23)
-    keep = np.ones_like(pts, dtype=bool)
-    for k in knots:
-        keep &= np.abs(pts - k) > 2e-3 * (hi - lo)
-    return pts[keep]
-
-
-@pytest.mark.parametrize("prof", [
-    AlgebraicCutoff(e0=0.2, e_max=1.0, alpha=1.0),
-    AlgebraicCutoff(e0=0.0, e_max=2.0, alpha=2.0),
-    AlgebraicCutoff(e0=-0.5, e_max=1.5, alpha=3.5),
-    ExponentialCutoff(e0=0.1, e1=0.4, gamma_exp=1.0, e_max=1.0),
-    ExponentialCutoff(e0=0.0, e1=1.0, gamma_exp=2.0, e_max=3.0),
-    ExponentialCutoff(e0=-1.0, e1=2.5, gamma_exp=4.0, e_max=4.0),
-    ExponentialTail(delta=1.0, kappa=1.0),
-    ExponentialTail(delta=2.5, kappa=2.0),
-    ExponentialTail(delta=0.3, kappa=0.7),
-    AlgebraicTail(decay=4.0, e_ref=1.3),
-    UniformWindow(-1.0, 2.0),
-])
-def test_analytic_derivatives_match_finite_differences(prof):
-    lo, hi = prof.support()[0]
-    if math.isinf(hi):
-        hi = lo + 8.0 * (1.0 + abs(lo))
-    for x in _fd_points(lo, hi, prof.knots()):
-        x = float(x)
-        d1, d2 = prof.derivative_ln_amp_sq(x)
-        h = max(1e-7, 1e-7 * abs(x))
-        fd1, fd2 = central_difference(prof.ln_amp_sq, x, h)
-        assert d1 == pytest.approx(fd1, rel=1e-5, abs=1e-7)
-        h2 = max(1e-5, 1e-5 * abs(x))
-        _, fd2 = central_difference(prof.ln_amp_sq, x, h2)
-        assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-5)
 
 
 @settings(derandomize=True, max_examples=80)
@@ -145,8 +78,6 @@ def test_lumps_delegate_exactly():
         assert lumps.ln_amp_sq(x) == sub.ln_amp_sq(x)
     assert lumps.ln_amp_sq(0.5) == -math.inf
     assert lumps.support() == [(0.1, 0.4), (0.6, 0.9)]
-    d = lumps.derivative_ln_amp_sq(0.7)
-    assert d == sub.derivative_ln_amp_sq(0.7)
 
 
 def test_lumps_uniform_support():

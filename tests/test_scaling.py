@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sharpdist import (DELTA_SCALINGS, CustomEntropy, DivergenceError,
                        FitError, IdealGas, SweepRecord, algebraic_tail_builder,
-                       analyze_sweep, bounded_window_builder, default_n_values,
+                       bounded_window_builder, default_n_values,
                        exponential_tail_builder, failure_mode_demo,
                        fit_power_law, sweep)
 
@@ -66,10 +66,9 @@ def test_bounded_sweep_matches_closed_form_and_fits_inverse_law():
     for rec in records:
         ref = monomial_window_ratio(1.5 * rec.n_particles)
         assert rec.ratio == pytest.approx(ref, rel=1e-6)
-    result = analyze_sweep(records, "bounded")
-    assert 0.95 <= result.kappa <= 1.05
-    assert result.r_squared > 0.999
-    assert result.regime_label == "bounded"
+    fit = fit_power_law(records)
+    assert 0.95 <= fit.kappa <= 1.05
+    assert fit.r_squared > 0.999
 
 
 def test_gamma_sweep_matches_closed_form():
