@@ -21,8 +21,9 @@ from .distribution import (DEFAULT_POLICY, BoundedPrediction,
 from .dos import (ConcavityReport, CustomEntropy, DiscreteSpectrum, IdealGas,
                   IsingChain, check_concavity_monotonicity,
                   ising_chain_spectrum)
-from .errors import (DivergenceError, DomainError, EmptyOverlapError,
-                     FitError, NoMaximumError, ToolkitError)
+from .errors import (ConvergenceError, DivergenceError, DomainError,
+                     EmptyOverlapError, FitError, NoMaximumError,
+                     ToolkitError)
 from .oracle import (DiscrepancyReport, DiscreteState,
                      compare_discrete_continuum, evolve_phases,
                      expectation_of_energy_function, prepare_state,

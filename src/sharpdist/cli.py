@@ -30,7 +30,8 @@ from .csvio import (config_comments, write_amplitude_csv, write_csv,
 from .distribution import (GridPolicy, build_distribution, lump_mass_fractions,
                            summarize)
 from .dos import ising_chain_spectrum
-from .errors import DivergenceError, EmptyOverlapError, NoMaximumError
+from .errors import (ConvergenceError, DivergenceError, EmptyOverlapError,
+                     NoMaximumError)
 from .oracle import compare_discrete_continuum, prepare_state
 from .scaling import (algebraic_tail_builder, bounded_window_builder,
                       default_n_values, exponential_tail_builder,
@@ -219,7 +220,7 @@ def run_oracle(cfg, out_dir: Path) -> list:
     from .dos import IsingChain
     model = IsingChain(n_particles=n, coupling=get_float(cfg, "oracle.j"))
     state = prepare_state(spectrum, profile, phase_seed=get_int(cfg, "seed"))
-    report = compare_discrete_continuum(spectrum, profile, model, _grid_policy(cfg))
+    report = compare_discrete_continuum(spectrum, profile, model, _grid_policy(cfg), state)
     comments = _comments("oracle", cfg)
     row = (report.mean_discrete, report.width_discrete, report.mean_continuum,
            report.width_continuum, report.mean_rel_diff, report.width_rel_diff,
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except (DivergenceError, NoMaximumError, EmptyOverlapError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print("ConvergenceError: %s" % exc, file=sys.stderr)
+        return 4
     for f in files:
         print("wrote %s" % f)
     return 0

@@ -12,6 +12,8 @@ import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .distribution import export_curve
+
 
 def format_value(value) -> str:
     if value is None:
@@ -55,39 +57,16 @@ def write_spectrum_csv(path, spectrum, comments=()):
     return write_csv(path, ("k", "E", "ln_g"), rows, comments)
 
 
-def _decimated_indices(dist, max_rows):
-    """Per-segment stride subsampling that always keeps segment endpoints.
-
-    The builder's grids have 2**k + 1 points per segment, so an integer
-    stride keeps the subgrid exactly uniform.
-    """
-    import numpy as np
-    segments = dist.segments
-    budget = max(3, max_rows // max(len(segments), 1))
-    picked = []
-    for seg in segments:
-        length = seg.stop - seg.start
-        stride = max(1, -(-(length - 1) // (budget - 1)))  # ceil division
-        idx = np.arange(seg.start, seg.stop, stride)
-        if idx[-1] != seg.stop - 1:
-            idx = np.append(idx, seg.stop - 1)
-        picked.append(idx)
-    return np.concatenate(picked)
-
-
 def write_distribution_csv(path, dist, comments=(), max_rows=None):
     """Distribution curve as E,ln_w,w rows.
 
-    ``max_rows`` caps the export by stride-decimating each segment (peaks
-    built on millions of grid points do not make useful plot files);
-    None or 0 writes the full grid.
+    ``max_rows`` caps the export per ``distribution.export_curve``: each
+    segment is stride-decimated, or resampled on a finer uniform grid when
+    its build grid is too coarse for a plain trapezoid over the file to
+    integrate to 1; None or 0 writes the build grid.
     """
     import numpy as np
-    if max_rows:
-        idx = _decimated_indices(dist, int(max_rows))
-        grid, ln_w = dist.grid[idx], dist.ln_w[idx]
-    else:
-        grid, ln_w = dist.grid, dist.ln_w
+    grid, ln_w = export_curve(dist, max_rows)
     rows = ((float(e), float(lw), float(np.exp(lw)))
             for e, lw in zip(grid, ln_w))
     return write_csv(path, ("E", "ln_w", "w"), rows, comments)

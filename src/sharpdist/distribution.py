@@ -1,20 +1,32 @@
 """Normalized energy distributions built in the log domain.
 
 The distribution is the pointwise product of an amplitude profile and a
-density of states, normalized by trapezoid quadrature through log-sum-exp
-so that log-weights spanning thousands of nats never overflow or underflow.
-One rule serves every integral: each segment's uniform step h gives the
-weights h*(1/2, 1, ..., 1, 1/2) behind the refinement test, the
-normalization, the moments and the segment masses.
+density of states, normalized by quadrature through log-sum-exp so that
+log-weights spanning thousands of nats never overflow or underflow.
+
+One rule serves every integral: the trapezoid rule on each segment's
+uniform step h with Gregory end corrections of order 6, which add
+h*(-49/288, 77/240, -7/30, 73/720, -3/160) to the weights of the five
+points at each end (the two sets add where they overlap).  The rule is
+exact for polynomials up to degree 5 on any segment of at least 9 points,
+and it is behind the refinement test, the normalization, the moments and
+the segment masses alike.
 
 Grid policy: each connected piece of (profile support intersected with the
-model domain) receives its own uniform grid covering the region where the
-local log-weight stays within ``window_nats`` of the piece's peak; the mass
+model domain) receives a window covering the region where the local
+log-weight stays within ``window_nats`` of the piece's peak; the mass
 outside that window is bounded by exp(-window_nats) of the piece total.
-All pieces are refined together, doubling the resolution until the log
-normalization moves by less than ``refine_tol`` between levels.  Keeping a
-window per piece (rather than one global window) is what lets mass ratios
-as small as 1e-40 between separated lumps come out right.
+Each window is cut at the profile's knots that lie strictly inside it, so
+no segment straddles a kink; the two sides of a join share the knot.  A
+segment with 0 < lo and hi/lo above ``_GEOMETRIC_SPAN`` is uniform in
+x = ln E instead of E, with the Jacobian E in its masses; every other
+segment is uniform in E.  Segment ends are exact in both cases.
+All segments are refined together, halving the step until the log
+normalization moves by less than ``refine_tol`` between levels; a build
+that reaches ``max_points`` per segment without that raises
+ConvergenceError.  Keeping a window per piece (rather than one global
+window) is what lets mass ratios as small as 1e-40 between separated lumps
+come out right.
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, EmptyOverlapError, NoMaximumError
+from .errors import (ConvergenceError, DivergenceError, DomainError,
+                     EmptyOverlapError, NoMaximumError)
 from .numerics import (LN2, bisect_crossing, bracket_root_geometric,
                        compensated_sum, golden_section_max, log_sum_exp,
                        newton_bisect_root)
@@ -39,6 +52,14 @@ _SLOPE_MARGIN = 1e-6
 _COARSE_POINTS = 2049
 # doublings allowed while pushing a half-infinite piece's right edge out
 _MAX_EXPAND_DOUBLINGS = 500
+# a segment whose hi/lo exceeds this (with lo > 0) is gridded uniformly in
+# ln E: linear segments of the bounded, cutoff, lump and tail builds span at
+# most about 1e3, the broad power-law tail beyond its knot about 5e8
+_GEOMETRIC_SPAN = 1e6
+# Gregory corrections of order 6 to the trapezoid weights of the five end
+# points, in units of the step; the end weights become 95/288, 317/240,
+# 23/30, 793/720, 157/160
+_GREGORY = np.array([-49 / 288, 77 / 240, -7 / 30, 73 / 720, -3 / 160])
 
 
 @dataclass(frozen=True)
@@ -62,9 +83,11 @@ DEFAULT_POLICY = GridPolicy()
 
 @dataclass(frozen=True)
 class Segment:
-    """Index range [start, stop) of one support piece inside the grid arrays.
+    """Index range [start, stop) of one grid segment inside the grid arrays.
 
-    ``step`` is the piece's uniform grid spacing, the h of its trapezoid rule.
+    ``step`` is the segment's uniform spacing, the h of its quadrature rule:
+    in E, or in ln E when ``geometric``.  Segments cut from one support
+    piece at a knot share that piece's ``support_index``.
     """
 
     start: int
@@ -73,6 +96,7 @@ class Segment:
     left_at_edge: bool
     right_at_edge: bool
     step: float
+    geometric: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,23 +130,32 @@ class EnergyDistribution:
 
     @cached_property
     def point_masses(self) -> np.ndarray:
-        """exp(ln_w) times each point's trapezoid weight h*(1/2, 1, ..., 1, 1/2)."""
+        """exp(ln_w) times each point's quadrature weight (and E on geometric segments)."""
         p = np.exp(self.ln_w)
         for seg in self.segments:
-            p[seg.start:seg.stop] *= seg.step
-            p[seg.start] *= 0.5
-            p[seg.stop - 1] *= 0.5
+            weights = np.full(seg.stop - seg.start, seg.step)
+            weights[[0, -1]] *= 0.5
+            weights[:5] += seg.step * _GREGORY
+            weights[:-6:-1] += seg.step * _GREGORY
+            if seg.geometric:
+                weights *= self.grid[seg.start:seg.stop]
+            p[seg.start:seg.stop] *= weights
         p.setflags(write=False)
         return p
 
     def normalization_residual(self) -> float:
-        """|1 - trapezoid integral of exp(ln_w)| over the segmented grid."""
+        """|1 - quadrature integral of exp(ln_w)| over the segmented grid."""
         return abs(compensated_sum(self.point_masses) - 1.0)
 
     def segment_ln_masses(self):
         """Log of the probability mass carried by each segment."""
-        return [_segment_log_trapezoid(self.ln_w[seg.start:seg.stop], seg.step)
-                for seg in self.segments]
+        out = []
+        for seg in self.segments:
+            values = self.ln_w[seg.start:seg.stop]
+            if seg.geometric:  # the integrand in ln E carries the Jacobian E
+                values = values + np.log(self.grid[seg.start:seg.stop])
+            out.append(_segment_log_integral(values, seg.step))
+        return out
 
 
 @dataclass(frozen=True)
@@ -273,10 +306,32 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     return _Window(w_lo, w_hi, support_index, left_edge, right_edge)
 
 
-def _segment_grid(lo, hi, n, step):
-    g = lo + step * np.arange(n)
-    g[-1] = hi
-    return g
+def _split_at_knots(window, knots):
+    """``window`` cut at the knots strictly inside it; the pieces share each knot."""
+    cuts = sorted({k for k in knots if window.lo < k < window.hi})
+    bounds = [window.lo] + cuts + [window.hi]
+    last = len(bounds) - 2
+    return [replace(window, lo=a, hi=b,
+                    left_at_edge=window.left_at_edge and i == 0,
+                    right_at_edge=window.right_at_edge and i == last)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def _segment_points(lo, hi, geometric, n):
+    """(x, E, step): n points from lo to hi, uniform in x = E, or in x = ln E.
+
+    The ends are exactly lo and hi.  Halving the step is exact, so the points
+    of n and of 2(n - 1) + 1 coincide bitwise at even indices.
+    """
+    x0, x1 = (math.log(lo), math.log(hi)) if geometric else (lo, hi)
+    step = (x1 - x0) / (n - 1)
+    x = x0 + step * np.arange(n)
+    x[-1] = x1
+    if not geometric:
+        return x, x, step
+    energies = np.exp(x)
+    energies[0], energies[-1] = lo, hi
+    return x, energies, step
 
 
 def _segment_log_trapezoid(values, step):
@@ -291,6 +346,26 @@ def _segment_log_trapezoid(values, step):
     return m + math.log(s) + math.log(step)
 
 
+def _with_end_corrections(ln_trapezoid, values, step):
+    """ln of the corrected integral of exp(values), from the log of its trapezoid sum.
+
+    Only the first and last five ``values`` are read.  Every corrected weight
+    is at least 95/144 of the trapezoid weight at its point, so the argument
+    of log1p stays above -49/144.
+    """
+    if ln_trapezoid == -math.inf:
+        return ln_trapezoid
+    shift = math.log(step) - ln_trapezoid
+    ratio = float(_GREGORY @ np.exp(values[:5] + shift)
+                  + _GREGORY @ np.exp(values[:-6:-1] + shift))
+    return ln_trapezoid + math.log1p(ratio)
+
+
+def _segment_log_integral(values, step):
+    """ln of the corrected-trapezoid integral of exp(values) at a uniform step."""
+    return _with_end_corrections(_segment_log_trapezoid(values, step), values, step)
+
+
 def _refined_log_trapezoid(prev, mid_values, half_step):
     """Trapezoid at half the step from the previous value plus the midpoint sum.
 
@@ -302,11 +377,23 @@ def _refined_log_trapezoid(prev, mid_values, half_step):
     return float(np.logaddexp(prev - LN2, math.log(half_step) + mid))
 
 
+def _check_increasing(grid, segments):
+    """Strictly increasing inside each segment; a join may repeat its knot."""
+    ties = any(np.any(np.diff(grid[seg.start:seg.stop]) <= 0.0) for seg in segments)
+    if ties or any(grid[b.start] < grid[a.stop - 1] for a, b in zip(segments, segments[1:])):
+        raise RuntimeError("internal error: assembled grid is not strictly increasing")
+
+
 def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> EnergyDistribution:
     """Construct the normalized energy distribution of ``profile`` times ``model``.
 
-    Raises EmptyOverlapError when support and domain do not meet, and
-    DivergenceError when the combined weight has no normalizable peak.
+    Raises EmptyOverlapError when support and domain do not meet,
+    DivergenceError when the combined weight has no normalizable peak, and
+    ConvergenceError when refinement reaches ``policy.max_points`` points
+    per segment with the last |change of ln Z| still at or above
+    ``policy.refine_tol``.  A build in which no halving fits under
+    ``max_points`` (as with ``initial_points == max_points``) has a fixed
+    resolution and is not tested for convergence.
     """
     lnh = _log_weight(model, profile)
     comps = _overlap_components(profile, model)
@@ -315,50 +402,64 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     for lo, hi, idx in comps:
         w = _component_window(lnh, lo, hi, idx, knots, policy)
         if w is not None:
-            windows.append(w)
+            windows.extend(_split_at_knots(w, knots))
     if not windows:
         raise EmptyOverlapError("the combined log-weight is -inf everywhere on the overlap")
     windows.sort(key=lambda w: w.lo)
+    geometric = [w.lo > 0.0 and w.hi > _GEOMETRIC_SPAN * w.lo for w in windows]
 
+    # per segment: log-weights, log trapezoid sum, log corrected integral;
+    # on a geometric segment the integrand in x = ln E is the weight times E
     n = policy.initial_points
-    steps = [(w.hi - w.lo) / (n - 1) for w in windows]
-    values = []
-    for w, h in zip(windows, steps):
-        g = _segment_grid(w.lo, w.hi, n, h)
-        values.append(_checked(g, lnh(g)))
-    seg_log_ints = [_segment_log_trapezoid(v, h) for v, h in zip(values, steps)]
-    ln_norm = log_sum_exp(seg_log_ints)
+    values, ln_traps, ln_ints = [], [], []
+    for w, geo in zip(windows, geometric):
+        x, g, h = _segment_points(w.lo, w.hi, geo, n)
+        v = _checked(g, lnh(g))
+        f = v + x if geo else v
+        values.append(v)
+        ln_traps.append(_segment_log_trapezoid(f, h))
+        ln_ints.append(_with_end_corrections(ln_traps[-1], f, h))
+    ln_norm = log_sum_exp(ln_ints)
+    delta = None
     while 2 * (n - 1) + 1 <= policy.max_points:
         n = 2 * (n - 1) + 1
-        # halving the step is exact, so even-index points of the refined grid
-        # coincide bitwise with the previous level; values are reused and only
-        # the new midpoints lo + h*(1, 3, 5, ...) are evaluated
-        steps = [0.5 * h for h in steps]
-        for k, (w, h) in enumerate(zip(windows, steps)):
-            g_mid = w.lo + h * np.arange(1, n, 2)
-            mid = _checked(g_mid, lnh(g_mid))
+        for k, (w, geo) in enumerate(zip(windows, geometric)):
+            # the even-index points are the previous level's, bitwise; only
+            # the new midpoints x0 + h*(1, 3, 5, ...) are evaluated
+            x, _, h = _segment_points(w.lo, w.hi, geo, n)
+            g_mid = np.exp(x[1::2]) if geo else x[1::2]
             v = np.empty(n)
             v[::2] = values[k]
-            v[1::2] = mid
+            v[1::2] = _checked(g_mid, lnh(g_mid))
             values[k] = v
-            seg_log_ints[k] = _refined_log_trapezoid(seg_log_ints[k], mid, h)
-        ln_next = log_sum_exp(seg_log_ints)
-        converged = abs(ln_next - ln_norm) < policy.refine_tol
+            f = v + x if geo else v
+            ln_traps[k] = _refined_log_trapezoid(ln_traps[k], f[1::2], h)
+            ln_ints[k] = _with_end_corrections(ln_traps[k], f, h)
+        ln_next = log_sum_exp(ln_ints)
+        delta = abs(ln_next - ln_norm)
         ln_norm = ln_next
-        if converged:
+        if delta < policy.refine_tol:
             break
+    else:
+        if delta is not None:
+            raise ConvergenceError(
+                "refinement stopped unconverged at %d points per segment: last "
+                "|change of ln Z| = %.3g, refine_tol = %.3g"
+                % (n, delta, policy.refine_tol))
 
     ln_w = np.concatenate(values)
     ln_w -= ln_norm
     del values  # frees one grid's worth of memory before the grid is built
-    grid = np.concatenate([_segment_grid(w.lo, w.hi, n, h) for w, h in zip(windows, steps)])
-    segments = tuple(Segment(k * n, (k + 1) * n, w.support_index, w.left_at_edge,
-                             w.right_at_edge, h)
-                     for k, (w, h) in enumerate(zip(windows, steps)))
-    if np.any(np.diff(grid) <= 0.0):
-        raise RuntimeError("internal error: assembled grid is not strictly increasing")
+    grids, segments = [], []
+    for k, (w, geo) in enumerate(zip(windows, geometric)):
+        _, g, h = _segment_points(w.lo, w.hi, geo, n)
+        grids.append(g)
+        segments.append(Segment(k * n, (k + 1) * n, w.support_index, w.left_at_edge,
+                                w.right_at_edge, h, geo))
+    grid = np.concatenate(grids)
+    _check_increasing(grid, segments)
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
-                              segments=segments, model=model,
+                              segments=tuple(segments), model=model,
                               profile=profile, policy=policy)
 
 
@@ -498,6 +599,42 @@ def summarize(dist: EnergyDistribution) -> DistributionSummary:
         width_pred=width_pred,
         entropy_at_mean=microcanonical_entropy(dist.model, mean),
     )
+
+
+def export_curve(dist: EnergyDistribution, max_rows=None):
+    """(E, ln_w) of ``dist`` for a curve file of at most about ``max_rows`` rows.
+
+    Each segment may take max_rows // (number of segments) rows, at least 3.
+    A segment whose plain trapezoid rule over its points misses its mass by
+    more than ``refine_tol`` is resampled on the largest 2**k + 1 points
+    within that budget, with ln_w evaluated there, when those are more than
+    the build's; a trapezoid over the file then still integrates to 1 closely.
+    Every other segment is stride-decimated, always keeping its ends.  None
+    or 0 exports the build grid itself.
+    """
+    if not max_rows:
+        return dist.grid, dist.ln_w
+    budget = max(3, int(max_rows) // len(dist.segments))
+    n_fine = 2 ** ((budget - 1).bit_length() - 1) + 1
+    lnh = _log_weight(dist.model, dist.profile)
+    grids, ln_ws = [], []
+    for seg, ln_mass in zip(dist.segments, dist.segment_ln_masses()):
+        g = dist.grid[seg.start:seg.stop]
+        lw = dist.ln_w[seg.start:seg.stop]
+        n = g.size
+        if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - math.exp(ln_mass)) \
+                > dist.policy.refine_tol:
+            _, g, _ = _segment_points(float(g[0]), float(g[-1]), seg.geometric, n_fine)
+            lw = _checked(g, lnh(g)) - dist.ln_norm
+        else:
+            stride = max(1, -(-(n - 1) // (budget - 1)))  # ceil division
+            idx = np.arange(0, n, stride)
+            if idx[-1] != n - 1:
+                idx = np.append(idx, n - 1)
+            g, lw = g[idx], lw[idx]
+        grids.append(g)
+        ln_ws.append(lw)
+    return np.concatenate(grids), np.concatenate(ln_ws)
 
 
 def refine_once(dist: EnergyDistribution, factor: int = 4) -> EnergyDistribution:

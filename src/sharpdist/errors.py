@@ -23,3 +23,7 @@ class NoMaximumError(ToolkitError, ArithmeticError):
 
 class FitError(ToolkitError, ValueError):
     """A scaling fit cannot be performed on the given records."""
+
+
+class ConvergenceError(ToolkitError, ArithmeticError):
+    """Grid refinement reached its point cap without meeting its tolerance."""

@@ -33,6 +33,18 @@ def gamma_moments(shape, scale=1.0):
     return shape * scale, math.sqrt(shape) * scale
 
 
+def algebraic_tail_mean(p, eta):
+    """Mean of the density E**p on [0, 1] continued as E**(p - eta) beyond 1.
+
+    Requires eta > p + 2:
+    mean = (1/(p+2) + 1/(eta-p-2)) / (1/(p+1) + 1/(eta-p-1)), in exact rationals.
+    """
+    p, eta = Fraction(p), Fraction(eta)
+    first = 1 / (p + 2) + 1 / (eta - p - 2)
+    mass = 1 / (p + 1) + 1 / (eta - p - 1)
+    return float(first / mass)
+
+
 def monomial_interval_mass(p, lo, hi):
     """Exact integral of E**p over [lo, hi] as a Fraction."""
     p = int(p)

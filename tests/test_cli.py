@@ -82,6 +82,14 @@ def test_dist_divergent_profile_exits_nonzero(tmp_path, capsys):
     assert "DivergenceError" in capsys.readouterr().err
 
 
+def test_dist_unconverged_refinement_exits_4(tmp_path, capsys):
+    code = main(["dist", "--out", str(tmp_path),
+                 "--set", "grid.initial_points=9", "--set", "grid.max_points=17"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and "17 points per segment" in err
+
+
 def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
     assert main(["dist", "--out", str(tmp_path),
                  "--set", "grid.max_points=4097.9"]) == 2
@@ -162,6 +170,24 @@ def test_oracle_command(tmp_path):
     _, sheader, srows = read_rows(tmp_path / "state.csv")
     assert sheader == ["k", "E", "ln_weight", "phase"]
     assert len(srows) == 100
+
+
+def test_oracle_prepares_the_state_once(tmp_path, monkeypatch):
+    import sharpdist.cli
+    import sharpdist.oracle
+    calls = []
+    prepare = sharpdist.oracle.prepare_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(sharpdist.oracle, "prepare_state", counting)
+    monkeypatch.setattr(sharpdist.cli, "prepare_state", counting)
+    assert main(["oracle", "--out", str(tmp_path), "--set", "oracle.n=40",
+                 "--set", "profile.e0=-19.5", "--set", "profile.e1=5.85",
+                 "--set", "profile.e_max=-7.8"]) == 0
+    assert len(calls) == 1
 
 
 def test_oracle_seed_changes_phases_only(tmp_path):

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpdist import (AlgebraicTail, CustomEntropy, DivergenceError,
-                       DomainError, EmptyOverlapError, ExponentialTail,
-                       GridPolicy, IdealGas, Lumps, UniformWindow,
+from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
+                       CustomEntropy, DivergenceError, DomainError,
+                       EmptyOverlapError, ExponentialTail, GridPolicy,
+                       IdealGas, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
-                       lump_mass_fractions, microcanonical_entropy, moments,
-                       peak, refine_once, summarize, tail_profile_prediction)
+                       failure_mode_demo, lump_mass_fractions,
+                       microcanonical_entropy, moments, peak, refine_once,
+                       summarize, tail_profile_prediction)
 from sharpdist.numerics import compensated_sum
 
-from oracles import (gamma_moments, monomial_window_moments,
-                     two_lump_lower_fraction)
+from oracles import (algebraic_tail_mean, gamma_moments,
+                     monomial_window_moments, two_lump_lower_fraction)
 
 
 def build_checked(model, profile, policy=None):
@@ -180,15 +182,105 @@ def test_single_lump_fraction_is_one():
                         st.floats(min_value=0.01, max_value=1.0)),
        n_particles=st.integers(min_value=2, max_value=1000))
 def test_segment_and_point_masses_share_one_trapezoid_rule(lo, widths, n_particles):
-    """Segment masses, point masses and lump fractions all integrate to 1."""
+    """Segment masses, point masses and lump fractions all integrate to 1.
+
+    All three come from the one corrected trapezoid rule, so they agree even
+    on a fixed, coarse grid far from convergence.
+    """
     w0, gap, w1 = widths
     lumps = Lumps.uniform([(lo, lo + w0), (lo + w0 + gap, lo + w0 + gap + w1)])
-    policy = GridPolicy(initial_points=65, max_points=1025)
+    policy = GridPolicy(initial_points=1025, max_points=1025)
     dist = build_distribution(IdealGas(n_particles), lumps, policy)
     segment_total = math.fsum(math.exp(lm) for lm in dist.segment_ln_masses())
     assert abs(segment_total - 1.0) < 1e-12
     assert abs(segment_total - compensated_sum(dist.point_masses)) < 1e-12
     assert abs(math.fsum(lump_mass_fractions(dist)) - 1.0) < 1e-12
+
+
+# 3 + u + u^2 + u^3 + u^4 + u^5: degree 5, and positive for u >= -1
+_QUINTIC = np.polynomial.Polynomial([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["fixed", "one-halving"])
+@pytest.mark.parametrize("geometric", [False, True], ids=["linear", "geometric"])
+@pytest.mark.parametrize("n", [9, 10, 4097])
+def test_gregory_rule_is_exact_for_quintics(n, geometric, refine):
+    """The corrected trapezoid rule integrates every polynomial of degree <= 5 exactly.
+
+    The build's ln Z, the point masses and the segment masses all go
+    through it.  On a geometric segment the polynomial is in x = ln E: the
+    weight is q(ln E) / E.  Exact to rounding for any n >= 9; at n = 9 the
+    two sets of end corrections meet on the middle point and add there.
+    """
+    if geometric:
+        lo, hi, scale = 1e-3, 1e4, 8.0
+
+        def ln_density(e):
+            return np.log(_QUINTIC((np.log(e) - 1.0) / scale)) - np.log(e)
+        u = [(math.log(lo) - 1.0) / scale, (math.log(hi) - 1.0) / scale]
+    else:
+        lo, hi, scale = 0.5, 3.0, 1.0
+
+        def ln_density(e):
+            return np.log(_QUINTIC(e - 1.0))
+        u = [lo - 1.0, hi - 1.0]
+    exact = scale * (_QUINTIC.integ()(u[1]) - _QUINTIC.integ()(u[0]))
+    model = CustomEntropy(2, entropy=lambda e, v: 0.5 * ln_density(2.0 * e))
+    points = 2 * n - 1 if refine else n
+    dist = build_distribution(model, UniformWindow(lo, hi),
+                              GridPolicy(initial_points=n, max_points=points))
+    assert [seg.geometric for seg in dist.segments] == [geometric]
+    assert dist.grid.size == points
+    assert dist.ln_norm == pytest.approx(math.log(exact), abs=1e-13)
+    assert dist.normalization_residual() < 1e-13
+    assert dist.segment_ln_masses()[0] == pytest.approx(0.0, abs=1e-13)
+
+
+def test_unconverged_refinement_raises_convergence_error():
+    """Reaching max_points with |change of ln Z| >= refine_tol fails loudly."""
+    policy = GridPolicy(initial_points=9, max_points=17)
+    with pytest.raises(ConvergenceError, match=r"17 points per segment.*\|change of ln Z\| = "):
+        build_distribution(IdealGas(100), UniformWindow(0.0, 1.0), policy)
+    # a fixed-resolution build does no refinement and is not tested
+    fixed = GridPolicy(initial_points=17, max_points=17)
+    assert build_distribution(IdealGas(100), UniformWindow(0.0, 1.0), fixed).grid.size == 17
+    # the failure demo reports regimes of the profile, not of the grid
+    with pytest.raises(ConvergenceError):
+        failure_mode_demo("algebraic-tail", IdealGas(100), {"eta": 153.0}, policy=policy)
+
+
+@pytest.mark.parametrize("n_particles", [100, 402])
+def test_broad_algebraic_tail_mean_matches_closed_form(n_particles):
+    """The broad tail (eta = 3N/2 + 3) keeps its kink at e_ref on the grid.
+
+    Only the e^-60 window truncation remains, about 2e-9 relative.
+    """
+    p = 3 * n_particles // 2
+    dist = build_checked(IdealGas(n_particles), AlgebraicTail(decay=p + 3.0, e_ref=1.0))
+    mean, _ = moments(dist)
+    assert mean == pytest.approx(algebraic_tail_mean(p, p + 3), rel=1e-6)
+
+
+_REFINE_PROFILES = {
+    "uniform": lambda n: UniformWindow(0.0, 1.0),
+    "cutoff": lambda n: AlgebraicCutoff(0.3, 1.0, 2.0),
+    "lumps": lambda n: Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]),
+    "exponential-tail": lambda n: ExponentialTail(delta=1.0, kappa=2.0),
+    "broad-algebraic-tail": lambda n: AlgebraicTail(decay=1.5 * n + 3.0, e_ref=1.0),
+}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(_REFINE_PROFILES)),
+       n_particles=st.integers(min_value=2, max_value=5000))
+def test_moments_stable_under_refine_once(kind, n_particles):
+    """A 4x denser fixed grid moves neither mean nor width by 1e-9 relative."""
+    model = IdealGas(n_particles)
+    dist = build_checked(model, _REFINE_PROFILES[kind](n_particles))
+    mean, width = moments(dist)
+    mean4, width4 = moments(refine_once(dist))
+    assert mean4 == pytest.approx(mean, rel=1e-9)
+    assert width4 == pytest.approx(width, rel=1e-9)
 
 
 # first-level grid step of a flat weight on [0.25, 1], whose build converges
