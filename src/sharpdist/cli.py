@@ -7,9 +7,11 @@ curves for a bounded profile and a two-lump profile, ``failure-demo`` runs
 the tailored broad/divergent regimes.
 
 Configuration precedence: ``--set key=value`` flags over the ``--config``
-file over built-in defaults.  The effective configuration is echoed into
-every output file header, and identical configurations produce
-byte-identical outputs.
+file over built-in defaults.  A key that is neither among the command's
+defaults nor a parameter of the chosen model kind or profile variant is a
+usage error (exit 2), raised before any file is written.  The effective
+configuration is echoed into every output file header, and identical
+configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import (get_float, get_int, get_int_list, get_str,
+from .configio import (get_float, get_int, get_int_list, get_str, keys_read,
                        model_from_config, parse_kv_text, profile_from_config)
 from .csvio import (config_comments, write_amplitude_csv, write_csv,
                     write_distribution_csv, write_state_csv, write_summary_csv,
@@ -136,6 +138,17 @@ def _merge_config(command: str, config_path, set_items) -> dict:
             raise UsageError("--set expects key=value, got %r" % item)
         key, value = item.split("=", 1)
         cfg[key.strip()] = value.strip()
+    # a command that builds a model or a profile also accepts the parameters
+    # of the chosen kind or variant
+    known = set(_DEFAULTS[command])
+    if "model.kind" in known:
+        known |= keys_read(model_from_config, cfg)
+    if "profile.variant" in known:
+        known |= keys_read(profile_from_config, cfg)
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise UsageError("unknown config key%s for %s: %s"
+                         % ("s" if len(unknown) > 1 else "", command, ", ".join(unknown)))
     return cfg
 
 

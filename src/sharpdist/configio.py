@@ -65,6 +65,29 @@ def get_int_list(cfg: Mapping, key: str, default=None):
     return [_integral(key, tok) for tok in raw.split(",") if tok.strip()]
 
 
+class _Recording(dict):
+    """A config that records the keys looked up in it with ``in``, as _get does."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def keys_read(reader, cfg: Mapping) -> set:
+    """The keys ``reader`` (model_from_config or profile_from_config) looks up in ``cfg``.
+
+    These are the parameters of the model kind or profile variant ``cfg``
+    chooses.  A reader that fails raises its own error here.
+    """
+    recording = _Recording(cfg)
+    reader(recording)
+    return recording.read
+
+
 def _power_entropy(coeff: float, exponent: float):
     def s(e, v):
         return coeff * e ** exponent

@@ -16,8 +16,11 @@ Grid policy: each connected piece of (profile support intersected with the
 model domain) receives a window covering the region where the local
 log-weight stays within ``window_nats`` of the piece's peak; the mass
 outside that window is bounded by exp(-window_nats) of the piece total.
-Each window is cut at the profile's knots that lie strictly inside it, so
-no segment straddles a kink; the two sides of a join share the knot.  A
+The piece's peak and its window edges are found by k-section searches in
+which each round is one vector call of the log-weight; a NaN on any probe
+raises DomainError.  Each window is cut at the profile's knots that lie
+strictly inside it, so no segment straddles a kink; the two sides of a
+join share the knot.  A
 segment with 0 < lo and hi/lo above ``_GEOMETRIC_SPAN`` is uniform in
 x = ln E instead of E, with the Jacobian E in its masses; every other
 segment is uniform in E.  Segment ends are exact in both cases.
@@ -39,9 +42,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      EmptyOverlapError, NoMaximumError)
-from .numerics import (LN2, bisect_crossing, bracket_root_geometric,
-                       compensated_sum, golden_section_max, log_sum_exp,
-                       newton_bisect_root)
+from .numerics import (LN2, bracket_root_geometric, compensated_sum,
+                       log_sum_exp, newton_bisect_root)
 from .profiles import ExponentialTail, Lumps
 
 # a power-law tail must fall at least this much faster than 1/E to count as
@@ -50,8 +52,19 @@ _SLOPE_MARGIN = 1e-6
 
 # points of each linear and logarithmic scan that locates a piece's peak
 _COARSE_POINTS = 2049
-# doublings allowed while pushing a half-infinite piece's right edge out
+# doublings allowed while pushing a half-infinite piece's right edge out,
+# and how many of them one log-weight call evaluates
 _MAX_EXPAND_DOUBLINGS = 500
+_DOUBLING_BLOCK = 16
+# interior points of each round of the k-section maximum and crossing
+# searches; a round shrinks the bracket 129-fold (maximum) or 258-fold
+# (crossing), so a crossing takes about 7 rounds and a maximum about 4
+_SECTION_POINTS = 257
+_SECTION_FRACTIONS = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+# rounds allowed to either search: at 8 bits a round, enough to narrow any
+# bracket of finite floats (2,098 binades from the largest to the smallest
+# subnormal spacing) down to adjacent floats
+_MAX_SECTION_ROUNDS = 270
 # a segment whose hi/lo exceeds this (with lo > 0) is gridded uniformly in
 # ln E: linear segments of the bounded, cutoff, lump and tail builds span at
 # most about 1e3, the broad power-law tail beyond its knot about 5e8
@@ -213,13 +226,14 @@ def _log_weight(model, profile):
     return lnh
 
 
-def _checked(energies, values):
-    """``values`` as an array, or DomainError naming the first NaN's energy.
+def _probe(lnh, energies):
+    """lnh at the array ``energies``, or DomainError naming the first NaN's energy.
 
     A NaN is no weight that can be integrated; unchecked, argmax would pick
-    it as the peak and the piece would be dropped as weightless.
+    it as the peak, a crossing search would read it as below its target,
+    and the piece would be dropped as weightless.
     """
-    values = np.asarray(values)
+    values = np.asarray(lnh(energies))
     nan = np.isnan(values)
     if nan.any():
         raise DomainError("log-weight is NaN at E = %r"
@@ -231,31 +245,93 @@ def _grow_right_edge(lnh, lo, policy):
     """Finite right bound for a half-infinite piece, past the window cut.
 
     Doubles outward until the log-weight has fallen well below its running
-    maximum.  Raises DivergenceError when it never falls (weight grows
+    maximum, evaluating _DOUBLING_BLOCK doublings per call and testing them
+    in order.  Raises DivergenceError when it never falls (weight grows
     without bound) or when the terminal log-log slope is shallower than -1,
     in which case the mass integral cannot converge.
     """
-    x = max(1.0, 2.0 * abs(lo))
-    prev_v = lnh(x)
-    best = prev_v
-    for _ in range(_MAX_EXPAND_DOUBLINGS):
-        x *= 2.0
-        v = lnh(x)
-        best = max(best, v)
-        # strict-decrease guard: for log-weights of magnitude ~1e17 the
-        # subtraction below would round back to best and fire on growth
-        if v < best and v <= best - policy.window_nats - 10.0:
-            slope = (v - prev_v) / LN2
-            if slope >= -1.0 - _SLOPE_MARGIN:
-                raise DivergenceError(
-                    "tail falls like E^%.6g at E = %.6g; the normalization "
-                    "integral does not converge" % (slope, x))
-            return x
-        prev_v = v
+    x0 = max(1.0, 2.0 * abs(lo))
+    best = prev_v = -math.inf
+    for start in range(0, _MAX_EXPAND_DOUBLINGS + 1, _DOUBLING_BLOCK):
+        stop = min(start + _DOUBLING_BLOCK, _MAX_EXPAND_DOUBLINGS + 1)
+        xs = np.ldexp(x0, np.arange(start, stop))  # x0 * 2**j, exactly
+        for x, v in zip(xs.tolist(), _probe(lnh, xs).tolist()):
+            best = max(best, v)
+            # strict-decrease guard: for log-weights of magnitude ~1e17 the
+            # subtraction below would round back to best and fire on growth
+            if v < best and v <= best - policy.window_nats - 10.0:
+                slope = (v - prev_v) / LN2
+                if slope >= -1.0 - _SLOPE_MARGIN:
+                    raise DivergenceError(
+                        "tail falls like E^%.6g at E = %.6g; the normalization "
+                        "integral does not converge" % (slope, x))
+                return x
+            prev_v = v
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
         "the distribution has no normalizable peak"
         % (policy.window_nats, _MAX_EXPAND_DOUBLINGS))
+
+
+def _section_points(a, b):
+    """The points a + (b - a) * j / (_SECTION_POINTS + 1), j = 1 .. _SECTION_POINTS.
+
+    Every point lies in [a, b]: where a and b are within a factor 2 of each
+    other b - a is exact, and elsewhere the gap between the last point and
+    b, |b - a| / 258, dwarfs any rounding.
+    """
+    return a + (b - a) * _SECTION_FRACTIONS
+
+
+def _section_max(lnh, lo, hi, rel_tol=1e-10):
+    """(argmax, max) of a unimodal log-weight on [lo, hi] by k-section.
+
+    Each round evaluates lnh once, on _SECTION_POINTS interior points, and
+    keeps the two cells around the best of them, until the bracket is no
+    wider than ``rel_tol`` times its larger end magnitude (floored at 1).
+    Where the top is flat to rounding and several points tie for the best,
+    the middle one is kept, so the bracket closes on the centre of the flat
+    top rather than on its left end.  Returns the best point of the last
+    round that reached the overall best value.
+    """
+    a, b = float(lo), float(hi)
+    x_best, v_best = a, -math.inf
+    for _ in range(_MAX_SECTION_ROUNDS):
+        t = _section_points(a, b)
+        v = _probe(lnh, t)
+        ties = np.flatnonzero(v == v.max())
+        i = int(ties[ties.size // 2])
+        if v[i] >= v_best:
+            x_best, v_best = float(t[i]), float(v[i])
+        a = float(t[i - 1]) if i > 0 else a
+        b = float(t[i + 1]) if i + 1 < t.size else b
+        if b - a <= rel_tol * max(abs(a), abs(b), 1.0):
+            break
+    return x_best, v_best
+
+
+def _section_crossing(lnh, x_above, x_below, target):
+    """The below-side end of the crossing of ``target`` between x_above and x_below.
+
+    Requires lnh(x_above) >= target > lnh(x_below), in either order on the
+    axis.  Each round evaluates lnh once, on _SECTION_POINTS interior points,
+    and keeps the cell in which the weight first drops below target seen
+    from x_above.  It stops when no float lies strictly between the ends.
+    For a monotone lnh the result is the float bisection returns, so
+    [x_above, result] holds all of the region above target.
+    """
+    a, b = float(x_above), float(x_below)
+    for _ in range(_MAX_SECTION_ROUNDS):
+        if math.nextafter(a, b) == b:
+            break
+        t = _section_points(a, b)
+        below = _probe(lnh, t) < target
+        j = int(np.argmax(below))
+        if below[j]:
+            a, b = (float(t[j - 1]) if j > 0 else a), float(t[j])
+        else:
+            a = float(t[-1])
+    return b
 
 
 def _component_window(lnh, lo, hi, support_index, knots, policy):
@@ -273,36 +349,38 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     if interior_knots:
         candidates.append(np.asarray(interior_knots, dtype=float))
     cand = np.unique(np.concatenate(candidates))
-    vals = _checked(cand, lnh(cand))
+    vals = _probe(lnh, cand)
     i = int(np.argmax(vals))
     if not np.isfinite(vals[i]):
         return None  # piece carries no weight at all
 
     bracket_lo = cand[max(i - 1, 0)]
     bracket_hi = cand[min(i + 1, cand.size - 1)]
-    e_star, lnh_star = golden_section_max(lnh, bracket_lo, bracket_hi)
+    e_star, lnh_star = _section_max(lnh, bracket_lo, bracket_hi)
     if vals[i] > lnh_star:
         e_star, lnh_star = float(cand[i]), float(vals[i])
 
+    target = lnh_star - policy.window_nats
+    v_lo, v_hi = vals[0], vals[-1]  # the scan's ends are exactly lo and hi_eff
     if half_infinite:
         # the running-max threshold during growth may have been below the
         # true peak; push the edge further if the window is not yet closed
-        guard = _MAX_EXPAND_DOUBLINGS
-        while lnh(hi_eff) >= lnh_star - policy.window_nats and guard > 0:
+        for _ in range(_MAX_EXPAND_DOUBLINGS):
+            if v_hi < target:
+                break
             hi_eff *= 2.0
-            guard -= 1
-        if guard == 0:
+            v_hi = _probe(lnh, np.array([hi_eff]))[0]
+        else:
             raise DivergenceError("window never closes on the right")
 
-    target = lnh_star - policy.window_nats
-    if lnh(lo) >= target:
+    if v_lo >= target:
         w_lo, left_edge = lo, True
     else:
-        w_lo, left_edge = bisect_crossing(lnh, e_star, lo, target), False
-    if not half_infinite and lnh(hi) >= target:
+        w_lo, left_edge = _section_crossing(lnh, e_star, lo, target), False
+    if not half_infinite and v_hi >= target:
         w_hi, right_edge = hi, True
     else:
-        w_hi, right_edge = bisect_crossing(lnh, e_star, hi_eff, target), False
+        w_hi, right_edge = _section_crossing(lnh, e_star, hi_eff, target), False
     return _Window(w_lo, w_hi, support_index, left_edge, right_edge)
 
 
@@ -414,7 +492,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     values, ln_traps, ln_ints = [], [], []
     for w, geo in zip(windows, geometric):
         x, g, h = _segment_points(w.lo, w.hi, geo, n)
-        v = _checked(g, lnh(g))
+        v = _probe(lnh, g)
         f = v + x if geo else v
         values.append(v)
         ln_traps.append(_segment_log_trapezoid(f, h))
@@ -430,7 +508,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
             g_mid = np.exp(x[1::2]) if geo else x[1::2]
             v = np.empty(n)
             v[::2] = values[k]
-            v[1::2] = _checked(g_mid, lnh(g_mid))
+            v[1::2] = _probe(lnh, g_mid)
             values[k] = v
             f = v + x if geo else v
             ln_traps[k] = _refined_log_trapezoid(ln_traps[k], f[1::2], h)
@@ -480,8 +558,9 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
     """Location of the global maximum of ln W.
 
     Grid maxima sitting on a support edge are returned as boundary peaks;
-    interior maxima are refined by golden-section search inside the
-    bracketing grid cell.
+    interior maxima are refined by a k-section search of the log-weight
+    inside the two grid cells around the grid maximum, each round one
+    vector call on _SECTION_POINTS points.
     """
     i = int(np.argmax(dist.ln_w))
     seg = next(s for s in dist.segments if s.start <= i < s.stop)
@@ -491,8 +570,8 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
         return PeakResult(float(dist.grid[i]), True)
     lo = dist.grid[max(i - 1, seg.start)]
     hi = dist.grid[min(i + 1, seg.stop - 1)]
-    e_star, v_star = golden_section_max(_log_weight(dist.model, dist.profile),
-                                        float(lo), float(hi), rel_tol=rel_tol)
+    e_star, v_star = _section_max(_log_weight(dist.model, dist.profile),
+                                  float(lo), float(hi), rel_tol)
     if v_star < dist.ln_w[i] + dist.ln_norm:
         e_star = float(dist.grid[i])
     return PeakResult(e_star, False)
@@ -625,7 +704,7 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
         if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - math.exp(ln_mass)) \
                 > dist.policy.refine_tol:
             _, g, _ = _segment_points(float(g[0]), float(g[-1]), seg.geometric, n_fine)
-            lw = _checked(g, lnh(g)) - dist.ln_norm
+            lw = _probe(lnh, g) - dist.ln_norm
         else:
             stride = max(1, -(-(n - 1) // (budget - 1)))  # ceil division
             idx = np.arange(0, n, stride)

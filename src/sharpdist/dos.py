@@ -110,13 +110,14 @@ class IdealGas:
         out = np.where(e_arr > 0.0,
                        self.growth_exponent * np.log(safe) + self.ln_prefactor,
                        -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
     def entropy_derivatives(self, e: float):
         e = float(e)
         if e <= 0.0:
             raise DomainError("energy per particle must be positive")
-        s = self.ln_density(self.n_particles * e) / self.n_particles
+        n = self.n_particles
+        s = (self.growth_exponent * math.log(n * e) + self.ln_prefactor) / n
         return s, 1.5 / e, -1.5 / (e * e)
 
 
@@ -158,7 +159,7 @@ class IsingChain:
         n = self.n_particles
         vals = LN2 + gammaln(n) - gammaln(k + 1.0) - gammaln(n - k)
         out = np.where(inside, vals, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
     def entropy_derivatives(self, e: float):
         e = float(e)
@@ -220,7 +221,7 @@ class CustomEntropy:
         per = np.where(inside, e_arr / self.n_particles, 1.0)
         vals = self.n_particles * self._entropy_values(per) + self.ln_prefactor
         out = np.where(inside, vals, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
     def entropy_derivatives(self, e: float):
         e = float(e)

@@ -1,8 +1,10 @@
-"""Log-domain arithmetic and scalar solver primitives.
+"""Log-domain arithmetic, accurate summation and scalar root finding.
 
 Everything here is elementary numerics: stable log-space differences,
-the log-sum-exp, accurate summation, bracketed scalar maximization and
-root finding.  No physics enters this module.
+the log-sum-exp, accurate summation, and the bracketing and safeguarded
+Newton root finding of the saddle-point solve.  No physics enters this
+module.  The window search's maximum and crossing searches evaluate the
+log-weight on many points at once and live in ``distribution``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ from .errors import NoMaximumError
 
 LN2 = math.log(2.0)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-
-def _finish(energy_in, out):
-    """Return ``out`` as a float when the energy argument was a scalar."""
-    return float(out) if np.ndim(energy_in) == 0 else out
+def _finish(e_arr, out):
+    """Return ``out`` as a float when the energy array ``e_arr`` is 0-d."""
+    return float(out) if e_arr.ndim == 0 else out
 
 
 def log_one_minus_exp(g):
@@ -66,58 +65,6 @@ def compensated_sum(values) -> float:
         return math.fsum(arr)
     partials = np.add.reduceat(arr, np.arange(0, arr.size, 4096))
     return math.fsum(partials)
-
-
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       rel_tol: float = 1e-10, max_iter: int = 256):
-    """Maximize a unimodal scalar function on [lo, hi].
-
-    Returns (argmax, max value).  The bracket is shrunk until its width is
-    below ``rel_tol`` relative to the larger endpoint magnitude (floored at 1).
-    """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, f(a)
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if h <= rel_tol * max(abs(a), abs(b), 1.0):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
-def bisect_crossing(f: Callable[[float], float], x_above: float, x_below: float,
-                    target: float, max_iter: int = 120) -> float:
-    """Abscissa where f crosses ``target`` between x_above and x_below.
-
-    Requires f(x_above) >= target > f(x_below); f is assumed monotone on the
-    segment.  Returns a point on the low side of the crossing so that the
-    interval [x_above, result] contains all of the region above target.
-    """
-    a, b = float(x_above), float(x_below)
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if f(m) >= target:
-            a = m
-        else:
-            b = m
-    return b
 
 
 def bracket_root_geometric(g: Callable[[float], float], scale: float,

@@ -84,7 +84,7 @@ class AlgebraicCutoff(AmplitudeProfile):
             positive = shape > 0.0
             vals = np.log(np.where(positive, shape, 1.0)) + self.ln_scale
         out = np.where(positive, vals, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class ExponentialCutoff(AmplitudeProfile):
             gap = np.where(inside, w - self._edge_exponent, 0.0)
             vals = -w + log_one_minus_exp(gap) + self.ln_scale
         out = np.where(inside, vals, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class ExponentialTail(AmplitudeProfile):
         nonneg = e_arr >= 0.0
         scaled = np.where(nonneg, e_arr, 0.0) / self.delta
         out = np.where(nonneg, self.ln_scale - scaled ** self.kappa, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class AlgebraicTail(AmplitudeProfile):
         safe = np.where(beyond, e_arr, self.e_ref)
         vals = np.where(beyond, -self.decay * np.log(safe / self.e_ref), 0.0)
         out = np.where(nonneg, vals + self.ln_scale, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ class UniformWindow(AmplitudeProfile):
         e_arr = np.asarray(energy, dtype=float)
         inside = (e_arr >= self.e_min) & (e_arr <= self.e_max)
         out = np.where(inside, 0.0, -np.inf)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class Lumps(AmplitudeProfile):
             mask = (e_arr >= lo) & (e_arr <= hi)
             if np.any(mask):
                 out = np.where(mask, sub.ln_amp_sq(e_arr), out)
-        return _finish(energy, out)
+        return _finish(e_arr, out)
 
 
 def profile_classes():

@@ -96,6 +96,22 @@ def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
     assert "grid.max_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["profile.kapa", "model.v"])
+def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
+    # profile.kapa is a typo; model.v is read by custom-entropy only
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", key + "=5"]) == 2
+    assert "unknown config key for dist: %s" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keys_of_the_chosen_model_kind_are_known(tmp_path):
+    assert main(["dist", "--out", str(tmp_path),
+                 "--set", "model.kind=custom-entropy", "--set", "model.form=log",
+                 "--set", "model.coeff=1.5", "--set", "model.v=2",
+                 "--set", "grid.max_points=65537"]) == 0
+
+
 def test_dist_nan_log_weight_is_config_error(tmp_path, capsys):
     # s = e**0.5 is NaN at the negative energies this custom domain admits
     code = main(["dist", "--out", str(tmp_path),

@@ -6,7 +6,7 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        ExponentialTail, IdealGas, IsingChain, Lumps,
                        UniformWindow, format_kv, model_from_config,
                        parse_kv_text, profile_from_config, profile_to_config)
-from sharpdist.configio import get_int, get_int_list
+from sharpdist.configio import get_int, get_int_list, keys_read
 
 
 def test_parse_kv_basics():
@@ -74,14 +74,17 @@ def test_model_from_config_errors():
         model_from_config({"model.kind": "harmonic", "model.n": "5"})
 
 
-@pytest.mark.parametrize("profile", [
+PROFILES = [
     AlgebraicCutoff(e0=0.25, e_max=1.5, alpha=2.5, ln_scale=-0.75),
     ExponentialCutoff(e0=-1.0, e1=0.3, gamma_exp=1.5, e_max=2.0, ln_scale=0.5),
     ExponentialTail(delta=2.0, kappa=0.8, ln_scale=1.25),
     AlgebraicTail(decay=153.0, e_ref=1.0),
     UniformWindow(0.0, 1.0),
     Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]),
-])
+]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
 def test_profile_round_trip_is_identity(profile):
     cfg = profile_to_config(profile)
     text = format_kv(cfg)
@@ -109,3 +112,26 @@ def test_integer_keys_reject_non_integral_values():
     assert get_int_list(cfg, "e") == [100, 200]
     with pytest.raises(ValueError, match="model.n"):
         model_from_config({"model.kind": "ideal-gas", "model.n": "100.5"})
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model.kind": "ideal-gas", "model.n": "100", "model.ln_prefactor": "0.5"},
+    {"model.kind": "ising-chain", "model.n": "50", "model.j": "2.0"},
+    {"model.kind": "custom-entropy", "model.n": "10", "model.form": "power",
+     "model.coeff": "2.0", "model.exponent": "0.5", "model.domain_lo": "0.0",
+     "model.domain_hi": "inf", "model.ln_prefactor": "0.0", "model.v": "1.0"},
+], ids=lambda cfg: cfg["model.kind"])
+def test_keys_read_are_the_parameters_of_the_model_kind(cfg):
+    # model.v is a parameter of custom-entropy only
+    assert keys_read(model_from_config, {**cfg, "model.v": "2.0", "seed": "0"}) == set(cfg)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.variant)
+def test_keys_read_are_the_parameters_of_the_profile_variant(profile):
+    cfg = profile_to_config(profile)
+    assert keys_read(profile_from_config, {**cfg, "profile.kapa": "5"}) == set(cfg)
+
+
+def test_keys_read_raises_the_readers_error():
+    with pytest.raises(ValueError, match="unknown profile variant"):
+        keys_read(profile_from_config, {"profile.variant": "triangle"})

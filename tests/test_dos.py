@@ -46,6 +46,14 @@ def test_ideal_gas_entropy_derivatives():
         gas.entropy_derivatives(0.0)
 
 
+@pytest.mark.parametrize("ln_prefactor", [0.0, -2.5])
+def test_ideal_gas_entropy_matches_ln_density(ln_prefactor):
+    gas = IdealGas(100, ln_prefactor=ln_prefactor)
+    for e in (1e-3, 0.7, 3.0, 1e4):
+        s, _, _ = gas.entropy_derivatives(e)
+        assert s == pytest.approx(gas.ln_density(100 * e) / 100, rel=1e-15, abs=1e-15)
+
+
 @settings(derandomize=True, max_examples=100)
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_ideal_gas_doubling_identity(energy):
