@@ -4,18 +4,31 @@ Files are UTF-8 with plain \\n line endings; ``#``-prefixed comment lines
 carry provenance (tool version, command, effective config) and, for fits,
 trailing metadata.  Floats are formatted with shortest round-trip repr, so
 identical inputs produce byte-identical files.
+
+Rows are formatted and streamed to a temp file ``BLOCK_ROWS`` at a time,
+and the temp file is renamed onto the target only once it is complete.
+The array-backed writers convert each column block with ``tolist()``, so
+every cell costs one ``repr`` of a Python float and little else.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .distribution import export_curve
+
+# rows formatted and written per block: a few hundred kB of text
+BLOCK_ROWS = 8192
 
 
 def format_value(value) -> str:
+    if type(value) is float:   # the common cell; float subclasses go on below
+        return repr(value)
     if value is None:
         return "nan"
     if isinstance(value, bool):
@@ -38,23 +51,37 @@ def config_comments(tool_version: str, command: str, config: Mapping) -> list:
 
 def write_csv(path, columns: Sequence[str], rows: Iterable,
               comments: Sequence[str] = (), trailing_comments: Sequence[str] = ()) -> Path:
-    """Write one CSV file atomically (temp file then rename)."""
+    """Write one CSV file atomically (temp file then rename).
+
+    ``rows`` is an iterable of row tuples, consumed and written
+    ``BLOCK_ROWS`` rows at a time.  If anything raises, the temp file is
+    removed and ``path`` is left as it was.
+    """
     path = Path(path)
-    parts = ["# %s\n" % c for c in comments]
-    parts.append(",".join(columns) + "\n")
-    for row in rows:
-        parts.append(",".join(format_value(v) for v in row) + "\n")
-    parts.extend("# %s\n" % c for c in trailing_comments)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(parts), encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    rows = iter(rows)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write("".join("# %s\n" % c for c in comments))
+            f.write(",".join(columns) + "\n")
+            while True:
+                block = [",".join(map(format_value, row)) for row in islice(rows, BLOCK_ROWS)]
+                if not block:
+                    break
+                block.append("")   # so the block ends with a newline
+                f.write("\n".join(block))
+            f.write("".join("# %s\n" % c for c in trailing_comments))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def write_spectrum_csv(path, spectrum, comments=()):
-    rows = ((int(k), float(e), float(g))
-            for k, (e, g) in enumerate(zip(spectrum.energies, spectrum.ln_degeneracies)))
-    return write_csv(path, ("k", "E", "ln_g"), rows, comments)
+def _array_rows(*columns):
+    """Row tuples of equal-length 1-d arrays, each column converted per block by tolist()."""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        yield from zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
 
 
 def write_distribution_csv(path, dist, comments=(), max_rows=None):
@@ -65,11 +92,9 @@ def write_distribution_csv(path, dist, comments=(), max_rows=None):
     its build grid is too coarse for a plain trapezoid over the file to
     integrate to 1; None or 0 writes the build grid.
     """
-    import numpy as np
     grid, ln_w = export_curve(dist, max_rows)
-    rows = ((float(e), float(lw), float(np.exp(lw)))
-            for e, lw in zip(grid, ln_w))
-    return write_csv(path, ("E", "ln_w", "w"), rows, comments)
+    return write_csv(path, ("E", "ln_w", "w"), _array_rows(grid, ln_w, np.exp(ln_w)),
+                     comments)
 
 
 def write_summary_csv(path, n_particles, summary, comments=()):
@@ -91,14 +116,14 @@ def write_sweep_csv(path, records, fit=None, comments=(), skipped=()):
 
 
 def write_state_csv(path, state, comments=()):
-    rows = ((int(k), float(e), float(lw), float(ph))
-            for k, (e, lw, ph) in enumerate(zip(state.spectrum.energies,
-                                                state.ln_weights, state.phases)))
+    spectrum = state.spectrum
+    rows = _array_rows(np.arange(len(spectrum)), spectrum.energies,
+                       state.ln_weights, state.phases)
     return write_csv(path, ("k", "E", "ln_weight", "phase"), rows, comments)
 
 
 def write_amplitude_csv(path, profile, grid, comments=()):
-    import numpy as np
+    grid = np.asarray(grid, dtype=float)
     vals = np.asarray(profile.ln_amp_sq(grid))
-    rows = ((float(e), float(la), float(np.exp(la))) for e, la in zip(grid, vals))
-    return write_csv(path, ("E", "ln_amp_sq", "amp_sq"), rows, comments)
+    return write_csv(path, ("E", "ln_amp_sq", "amp_sq"), _array_rows(grid, vals, np.exp(vals)),
+                     comments)

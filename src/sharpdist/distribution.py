@@ -181,9 +181,9 @@ class PeakResult:
 class BoundedPrediction:
     """Edge-peak asymptotics for profiles with a finite upper support edge."""
 
-    eps: float    # predicted shift of the mean below the edge, 1 / s'(e_edge)
-    mean: float   # e_edge - eps
-    width: float  # equal to eps in this approximation
+    eps: float    # the log-weight's decay length at the edge, 1 / s'(e_edge)
+    mean: float   # e_edge - (m + 1) eps, m the profile's edge order
+    width: float  # sqrt(m + 1) eps
 
 
 @dataclass(frozen=True)
@@ -580,23 +580,27 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
 def bounded_profile_prediction(model, profile, reevaluate_at_mean: bool = False) -> BoundedPrediction:
     """Edge-peak prediction for a profile bounded above at e_edge.
 
-    The mean sits a distance eps = 1 / s'(e_edge/N) below the edge and the
-    width equals eps; both follow from expanding the log-weight at the edge.
-    With ``reevaluate_at_mean`` the slope is re-evaluated once at the
-    predicted mean instead of at the edge (an O(1/N) refinement).
+    Near the edge |a|^2 ~ (e_edge - E)**m, m the profile's ``edge_order``,
+    and the log-weight falls off below the edge over eps = 1 / s'(e_edge/N).
+    Laplace's method at the endpoint (Watson's lemma) makes the distance
+    e_edge - E a Gamma(m + 1, eps) variable to leading order: the mean sits
+    (m + 1) eps below the edge and the width is sqrt(m + 1) eps.  With
+    ``reevaluate_at_mean`` the slope is re-evaluated once at the predicted
+    mean instead of at the edge (an O(1/N) refinement).
     """
     e_edge = profile.upper_edge()
+    shape = profile.edge_order + 1
     n = model.n_particles
     _, d1, _ = model.entropy_derivatives(e_edge / n)
     if d1 <= 0.0:
         raise DomainError("model is not at positive temperature at the support edge")
     eps = 1.0 / d1
     if reevaluate_at_mean:
-        _, d1, _ = model.entropy_derivatives((e_edge - eps) / n)
+        _, d1, _ = model.entropy_derivatives((e_edge - shape * eps) / n)
         if d1 <= 0.0:
             raise DomainError("model is not at positive temperature at the predicted mean")
         eps = 1.0 / d1
-    return BoundedPrediction(eps=eps, mean=e_edge - eps, width=eps)
+    return BoundedPrediction(eps=eps, mean=e_edge - shape * eps, width=math.sqrt(shape) * eps)
 
 
 def tail_profile_prediction(model, profile: ExponentialTail) -> TailPrediction:

@@ -9,6 +9,10 @@ Models expose three things: ``ln_density(E)`` for the total system,
 ``entropy_derivatives(e)`` per particle (s, ds/de, d2s/de2), and a
 ``domain()`` interval outside which ``ln_density`` is -inf.  The two views
 are tied together by ln_density(E) = N * s(E/N) + const.
+
+``scipy.special`` supplies log-gamma and its derivatives for the spin
+chain only; it is imported where the chain uses it, so ``import sharpdist``
+does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, polygamma, psi
 
 from .errors import DomainError
 from .numerics import LN2, _finish, central_difference
@@ -49,11 +52,6 @@ class DiscreteSpectrum:
     def __len__(self):
         return self.energies.size
 
-    @property
-    def total_ln_count(self) -> float:
-        """Log of the total number of states, logsumexp over degeneracies."""
-        return float(logsumexp(self.ln_degeneracies))
-
     def positive_temperature_branch(self) -> "DiscreteSpectrum":
         """Levels below the degeneracy peak: indices k < (n_levels - 1) / 2."""
         n = len(self)
@@ -75,6 +73,7 @@ def ising_chain_spectrum(n_particles: int, coupling: float = 1.0) -> DiscreteSpe
         raise ValueError("chain needs at least 2 sites")
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
+    from scipy.special import gammaln
     k = np.arange(n_particles, dtype=float)
     energies = -coupling * (n_particles - 1) + 2.0 * coupling * k
     ln_g = LN2 + gammaln(n_particles) - gammaln(k + 1.0) - gammaln(n_particles - k)
@@ -153,6 +152,7 @@ class IsingChain:
         return (e_arr - self.band_bottom) / (2.0 * self.coupling)
 
     def ln_density(self, energy):
+        from scipy.special import gammaln
         e_arr = np.asarray(energy, dtype=float)
         inside = (e_arr >= self.band_bottom) & (e_arr <= 0.0)
         k = np.where(inside, self._bond_index(e_arr), 0.0)
@@ -162,6 +162,7 @@ class IsingChain:
         return _finish(e_arr, out)
 
     def entropy_derivatives(self, e: float):
+        from scipy.special import polygamma, psi
         e = float(e)
         energy = self.n_particles * e
         if not self.band_bottom <= energy <= 0.0:

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distribution import DEFAULT_POLICY, build_distribution, moments
 from .dos import DiscreteSpectrum
 from .errors import EmptyOverlapError
+from .numerics import log_sum_exp
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +37,7 @@ class DiscreteState:
         n = len(self.spectrum)
         if lw.shape != (n,) or ph.shape != (n,):
             raise ValueError("weights and phases must match the spectrum length")
-        total = float(logsumexp(lw))
+        total = log_sum_exp(lw)
         if abs(total) > 1e-8:
             raise ValueError("log-weights are not normalized: logsumexp = %g" % total)
         lw.setflags(write=False)
@@ -57,11 +57,11 @@ def prepare_state(spectrum: DiscreteSpectrum, profile, phase_seed: int = 0) -> D
     uniformly in [0, 2*pi) from a seeded generator.
     """
     ln_w = spectrum.ln_degeneracies + np.asarray(profile.ln_amp_sq(spectrum.energies))
-    total = float(logsumexp(ln_w))
+    total = log_sum_exp(ln_w)
     if not math.isfinite(total):
         raise EmptyOverlapError("profile support excludes every level of the spectrum")
     ln_w = ln_w - total
-    ln_w = ln_w - float(logsumexp(ln_w))  # second pass polishes rounding
+    ln_w = ln_w - log_sum_exp(ln_w)  # second pass polishes rounding
     rng = np.random.default_rng(phase_seed)
     phases = rng.uniform(0.0, TWO_PI, size=len(spectrum))
     return DiscreteState(spectrum=spectrum, ln_weights=ln_w, phases=phases)

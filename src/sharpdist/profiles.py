@@ -27,6 +27,9 @@ class AmplitudeProfile:
     """Interface shared by all profile variants."""
 
     variant: str = "abstract"
+    # m in |a(E)|^2 ~ (e_edge - E)**m at the upper edge of a bounded support:
+    # 0 for a hard cut, 1 where the shape has a simple zero
+    edge_order = 0
 
     def ln_amp_sq(self, energy):
         """ln|a(E)|^2 (up to the additive constant), -inf outside support."""
@@ -59,6 +62,8 @@ class AlgebraicCutoff(AmplitudeProfile):
     alpha: float
     ln_scale: float = 0.0
     variant: str = field(default="algebraic-cutoff", init=False, repr=False)
+
+    edge_order = 1
 
     def __post_init__(self):
         if not self.e_max > self.e0:
@@ -102,6 +107,8 @@ class ExponentialCutoff(AmplitudeProfile):
     e_max: float
     ln_scale: float = 0.0
     variant: str = field(default="exponential-cutoff", init=False, repr=False)
+
+    edge_order = 1
 
     def __post_init__(self):
         if not self.e_max > self.e0:
@@ -254,6 +261,12 @@ class Lumps(AmplitudeProfile):
             slo, shi = sub.support()[0]
             out.append((max(lo, slo), min(hi, shi)))
         return out
+
+    @property
+    def edge_order(self) -> int:
+        # the last lump keeps its sub-profile's edge only where it does not cut it
+        _, hi, sub = self.pieces[-1]
+        return sub.edge_order if sub.support()[0][1] <= hi else 0
 
     def knots(self):
         out = []

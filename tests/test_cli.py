@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,14 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
                  "--set", "profile.variant=exponential-tail",
                  "--set", "profile.delta=1.0", "--set", "profile.kappa=1.0"]) == 0
     assert (tmp_path / "from_env" / "summary.csv").is_file()
+
+
+def test_import_does_not_load_scipy():
+    """scipy.special is loaded by the spin chain only, not by importing the package."""
+    code = "import sys, sharpdist, sharpdist.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

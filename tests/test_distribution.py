@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        CustomEntropy, DivergenceError, DomainError,
-                       EmptyOverlapError, ExponentialTail, GridPolicy,
-                       IdealGas, Lumps, UniformWindow,
+                       EmptyOverlapError, ExponentialCutoff, ExponentialTail,
+                       GridPolicy, IdealGas, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
                        failure_mode_demo, lump_mass_fractions,
                        microcanonical_entropy, moments, peak, refine_once,
@@ -132,6 +132,33 @@ def test_bounded_prediction_asymptotics_large_n():
     mean, _ = moments(dist)
     pred = bounded_profile_prediction(IdealGas(n), UniformWindow(0.0, 1.0))
     assert (1.0 - mean) / pred.eps == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("profile, tol", [
+    (AlgebraicCutoff(0.3, 1.0, 2.0), 1e-3),
+    (ExponentialCutoff(e0=0.3, e1=0.1, gamma_exp=2.0, e_max=1.0), 1e-2),
+])
+def test_cutoff_prediction_has_a_simple_zero_at_the_edge(profile, tol):
+    """A simple zero at e_max makes E_max - E Gamma(2, eps): gap 2 eps, width sqrt(2) eps."""
+    n = 10_000
+    model = IdealGas(n)
+    mean, width = moments(build_checked(model, profile))
+    pred = bounded_profile_prediction(model, profile)
+    assert profile.edge_order == 1
+    assert pred.eps == pytest.approx(1.0 / (1.5 * n), rel=1e-12)
+    assert pred.mean == 1.0 - 2.0 * pred.eps
+    assert pred.width == math.sqrt(2.0) * pred.eps
+    assert abs((1.0 - mean) / (1.0 - pred.mean) - 1.0) < tol
+    assert abs(width / pred.width - 1.0) < tol
+
+
+def test_lumps_edge_order_is_that_of_the_last_lump_edge():
+    cutoff = AlgebraicCutoff(0.3, 1.0, 2.0)
+    assert UniformWindow(0.0, 1.0).edge_order == 0
+    assert Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]).edge_order == 0
+    # the last lump reaches the cutoff's own zero, or cuts the shape short of it
+    assert Lumps(((0.0, 0.2, UniformWindow(0.0, 0.2)), (0.5, 1.0, cutoff))).edge_order == 1
+    assert Lumps(((0.0, 0.2, UniformWindow(0.0, 0.2)), (0.5, 0.9, cutoff))).edge_order == 0
 
 
 def test_tail_prediction_exponential():
