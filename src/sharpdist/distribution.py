@@ -18,7 +18,10 @@ log-weight stays within ``window_nats`` of the piece's peak; the mass
 outside that window is bounded by exp(-window_nats) of the piece total.
 The piece's peak and its window edges are found by k-section searches in
 which each round is one vector call of the log-weight; a NaN on any probe
-raises DomainError.  Each window is cut at the profile's knots that lie
+raises DomainError.  Each edge search starts from the cell of the peak
+scan that straddles the cut on its side of the peak and stops within
+1e-10 of the distance from the peak to that cell's far end, on the side
+below the cut.  Each window is cut at the profile's knots that lie
 strictly inside it, so no segment straddles a kink; the two sides of a
 join share the knot.  A
 segment with 0 < lo and hi/lo above ``_GEOMETRIC_SPAN`` is uniform in
@@ -58,9 +61,12 @@ _MAX_EXPAND_DOUBLINGS = 500
 _DOUBLING_BLOCK = 16
 # interior points of each round of the k-section maximum and crossing
 # searches; a round shrinks the bracket 129-fold (maximum) or 258-fold
-# (crossing), so a crossing takes about 7 rounds and a maximum about 4
+# (crossing), so a window edge and a maximum each take about 4 rounds
 _SECTION_POINTS = 257
 _SECTION_FRACTIONS = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+# a window edge search stops within this fraction of the distance from the
+# peak to its bracket's below-target end; the e^-60 cut needs no finer edge
+_EDGE_REL_TOL = 1e-10
 # rounds allowed to either search: at 8 bits a round, enough to narrow any
 # bracket of finite floats (2,098 binades from the largest to the smallest
 # subnormal spacing) down to adjacent floats
@@ -310,19 +316,21 @@ def _section_max(lnh, lo, hi, rel_tol=1e-10):
     return x_best, v_best
 
 
-def _section_crossing(lnh, x_above, x_below, target):
+def _section_crossing(lnh, x_above, x_below, target, tol=0.0):
     """The below-side end of the crossing of ``target`` between x_above and x_below.
 
     Requires lnh(x_above) >= target > lnh(x_below), in either order on the
     axis.  Each round evaluates lnh once, on _SECTION_POINTS interior points,
     and keeps the cell in which the weight first drops below target seen
-    from x_above.  It stops when no float lies strictly between the ends.
-    For a monotone lnh the result is the float bisection returns, so
-    [x_above, result] holds all of the region above target.
+    from x_above.  It stops when the ends are at most ``tol`` apart or no
+    float lies strictly between them, and returns the below-side end, so
+    for a monotone lnh [x_above, result] holds all of the region above
+    target and the result is at most ``tol`` beyond the float bisection
+    returns (with ``tol=0``, that float itself).
     """
     a, b = float(x_above), float(x_below)
     for _ in range(_MAX_SECTION_ROUNDS):
-        if math.nextafter(a, b) == b:
+        if abs(b - a) <= tol or math.nextafter(a, b) == b:
             break
         t = _section_points(a, b)
         below = _probe(lnh, t) < target
@@ -373,14 +381,28 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
         else:
             raise DivergenceError("window never closes on the right")
 
+    def crossing(x_above, x_below):
+        return _section_crossing(lnh, x_above, x_below, target,
+                                 _EDGE_REL_TOL * abs(e_star - x_below))
+
+    # each edge search starts from the scan cell that straddles target on its
+    # side of the peak (the scan points between it and the peak lie above
+    # target); where that cell touches the peak, e_star is its inner end, as
+    # the scan point beside a narrow peak may lie below target
+    at = int(np.searchsorted(cand, e_star))  # cand[:at] lie left of the peak
+    below = np.flatnonzero(vals < target)
     if v_lo >= target:
         w_lo, left_edge = lo, True
     else:
-        w_lo, left_edge = _section_crossing(lnh, e_star, lo, target), False
+        j = int(below[np.searchsorted(below, at) - 1])
+        w_lo, left_edge = crossing(cand[j + 1] if j + 1 < at else e_star, cand[j]), False
     if not half_infinite and v_hi >= target:
         w_hi, right_edge = hi, True
+    elif hi_eff > cand[-1]:  # pushed past the scan by the loop above
+        w_hi, right_edge = crossing(e_star, hi_eff), False
     else:
-        w_hi, right_edge = _section_crossing(lnh, e_star, hi_eff, target), False
+        j = int(below[np.searchsorted(below, at)])
+        w_hi, right_edge = crossing(cand[j - 1] if j > at else e_star, cand[j]), False
     return _Window(w_lo, w_hi, support_index, left_edge, right_edge)
 
 
@@ -577,16 +599,14 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
     return PeakResult(e_star, False)
 
 
-def bounded_profile_prediction(model, profile, reevaluate_at_mean: bool = False) -> BoundedPrediction:
+def bounded_profile_prediction(model, profile) -> BoundedPrediction:
     """Edge-peak prediction for a profile bounded above at e_edge.
 
     Near the edge |a|^2 ~ (e_edge - E)**m, m the profile's ``edge_order``,
     and the log-weight falls off below the edge over eps = 1 / s'(e_edge/N).
     Laplace's method at the endpoint (Watson's lemma) makes the distance
     e_edge - E a Gamma(m + 1, eps) variable to leading order: the mean sits
-    (m + 1) eps below the edge and the width is sqrt(m + 1) eps.  With
-    ``reevaluate_at_mean`` the slope is re-evaluated once at the predicted
-    mean instead of at the edge (an O(1/N) refinement).
+    (m + 1) eps below the edge and the width is sqrt(m + 1) eps.
     """
     e_edge = profile.upper_edge()
     shape = profile.edge_order + 1
@@ -595,11 +615,6 @@ def bounded_profile_prediction(model, profile, reevaluate_at_mean: bool = False)
     if d1 <= 0.0:
         raise DomainError("model is not at positive temperature at the support edge")
     eps = 1.0 / d1
-    if reevaluate_at_mean:
-        _, d1, _ = model.entropy_derivatives((e_edge - shape * eps) / n)
-        if d1 <= 0.0:
-            raise DomainError("model is not at positive temperature at the predicted mean")
-        eps = 1.0 / d1
     return BoundedPrediction(eps=eps, mean=e_edge - shape * eps, width=math.sqrt(shape) * eps)
 
 

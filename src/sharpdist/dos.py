@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import LN2, _finish, central_difference
+from .numerics import LN2, _finish, _on_half_line, central_difference
 
 # relative step for finite-difference entropy derivatives of custom models
 FD_RELATIVE_STEP = 1e-5
@@ -51,14 +51,6 @@ class DiscreteSpectrum:
 
     def __len__(self):
         return self.energies.size
-
-    def positive_temperature_branch(self) -> "DiscreteSpectrum":
-        """Levels below the degeneracy peak: indices k < (n_levels - 1) / 2."""
-        n = len(self)
-        keep = np.arange(n) < (n - 1) / 2.0
-        if not np.any(keep):
-            raise ValueError("spectrum too small for a positive-temperature branch")
-        return DiscreteSpectrum(self.energies[keep], self.ln_degeneracies[keep])
 
 
 def ising_chain_spectrum(n_particles: int, coupling: float = 1.0) -> DiscreteSpectrum:
@@ -104,12 +96,9 @@ class IdealGas:
         return (0.0, math.inf)
 
     def ln_density(self, energy):
-        e_arr = np.asarray(energy, dtype=float)
-        safe = np.where(e_arr > 0.0, e_arr, 1.0)
-        out = np.where(e_arr > 0.0,
-                       self.growth_exponent * np.log(safe) + self.ln_prefactor,
-                       -np.inf)
-        return _finish(e_arr, out)
+        return _on_half_line(np.asarray(energy, dtype=float), False,
+                             lambda e: self.growth_exponent * np.log(e) + self.ln_prefactor,
+                             1.0)
 
     def entropy_derivatives(self, e: float):
         e = float(e)

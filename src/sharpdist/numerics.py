@@ -24,6 +24,26 @@ def _finish(e_arr, out):
     return float(out) if e_arr.ndim == 0 else out
 
 
+def _on_half_line(e_arr, closed, formula, fill):
+    """``formula`` at the energies above 0 (or at it, when ``closed``), -inf elsewhere.
+
+    When every energy is inside, as for every probe of an overlap piece,
+    formula is applied to ``e_arr`` itself and nothing is masked.
+    Otherwise it is applied to e_arr with the outside energies replaced by
+    ``fill``, and its values there become -inf; inside, both ways give
+    bitwise equal values.  A NaN energy is outside.  Returns a float when
+    e_arr is 0-d.
+    """
+    least = e_arr.min(initial=math.inf)  # NaN when any energy is NaN
+    all_inside = least >= 0.0 if closed else least > 0.0
+    if all_inside:
+        out = formula(e_arr)
+    else:
+        inside = e_arr >= 0.0 if closed else e_arr > 0.0
+        out = np.where(inside, formula(np.where(inside, e_arr, fill)), -np.inf)
+    return _finish(e_arr, out)
+
+
 def log_one_minus_exp(g):
     """ln(1 - exp(g)) for g <= 0, switching branches at -ln 2 for accuracy.
 

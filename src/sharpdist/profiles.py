@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _finish, log_one_minus_exp
+from .numerics import _finish, _on_half_line, log_one_minus_exp
 
 INF = math.inf
 
@@ -161,11 +161,9 @@ class ExponentialTail(AmplitudeProfile):
         return [(0.0, INF)]
 
     def ln_amp_sq(self, energy):
-        e_arr = np.asarray(energy, dtype=float)
-        nonneg = e_arr >= 0.0
-        scaled = np.where(nonneg, e_arr, 0.0) / self.delta
-        out = np.where(nonneg, self.ln_scale - scaled ** self.kappa, -np.inf)
-        return _finish(e_arr, out)
+        return _on_half_line(np.asarray(energy, dtype=float), True,
+                             lambda e: self.ln_scale - (e / self.delta) ** self.kappa,
+                             0.0)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Closed-form reference values used as independent test oracles.
 
-Everything in here is exact arithmetic (fractions, gamma identities) or a
-direct enumeration; none of it touches the quadrature code under test.
+Everything in here is exact arithmetic (fractions, gamma identities), a
+direct enumeration, or a log-weight term as written with full masking;
+none of it touches the quadrature code under test.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def monomial_window_moments(p, e_max=1):
@@ -70,3 +73,42 @@ def enumerate_open_chain(n_sites, coupling=1.0):
         energy = -coupling * sum(spins[i] * spins[i + 1] for i in range(n_sites - 1))
         counts[energy] = counts.get(energy, 0) + 1
     return sorted(counts.items())
+
+
+# The log-weight terms as written with full masking, the reference for the
+# unmasked evaluation of energies that all lie inside the domain or support.
+
+def masked_ideal_gas_ln_density(model, energy):
+    e = np.asarray(energy, dtype=float)
+    safe = np.where(e > 0.0, e, 1.0)
+    return np.where(e > 0.0, model.growth_exponent * np.log(safe) + model.ln_prefactor,
+                    -np.inf)
+
+
+def masked_exponential_tail_ln_amp_sq(profile, energy):
+    e = np.asarray(energy, dtype=float)
+    scaled = np.where(e >= 0.0, e, 0.0) / profile.delta
+    return np.where(e >= 0.0, profile.ln_scale - scaled ** profile.kappa, -np.inf)
+
+
+def assert_bitwise_as_masked(evaluate, masked, inside):
+    """``evaluate`` equals ``masked`` bit for bit on three kinds of input.
+
+    ``inside`` is an array of energies inside the domain or support: it is
+    passed whole and as the strided view of every second point that grid
+    refinement passes.  The mixed array holds -1, 0, NaN, +inf and a
+    subnormal; the 0-d array and the Python float must come back as floats.
+    """
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    for energies in (inside, inside[1::2]):
+        np.testing.assert_array_equal(bits(evaluate(energies)), bits(masked(energies)))
+    mixed = np.array([-1.0, 0.0, np.nan, np.inf, 5e-324, 2.5])
+    values = evaluate(mixed)
+    np.testing.assert_array_equal(bits(values), bits(masked(mixed)))
+    assert values[2] == -np.inf  # NaN is outside
+    for scalar in (np.array(float(inside[0])), float(inside[0]), -1.0, math.nan):
+        value = evaluate(scalar)
+        assert type(value) is float
+        assert bits(value) == bits(masked(scalar))

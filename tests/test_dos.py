@@ -10,7 +10,8 @@ from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError, IdealGas,
                        ising_chain_spectrum)
 from sharpdist.numerics import log_sum_exp
 
-from oracles import enumerate_open_chain
+from oracles import (assert_bitwise_as_masked, enumerate_open_chain,
+                     masked_ideal_gas_ln_density)
 
 
 def test_ideal_gas_ln_density_basics():
@@ -20,6 +21,15 @@ def test_ideal_gas_ln_density_basics():
     assert gas100.ln_density(2.0) == pytest.approx(150.0 * math.log(2.0), rel=1e-14)
     assert gas100.ln_density(0.0) == -math.inf
     assert gas100.ln_density(-1.0) == -math.inf
+
+
+@pytest.mark.parametrize("n_particles, ln_prefactor", [(2, 0.0), (1000, -37.25), (77, 1e4)])
+def test_ideal_gas_ln_density_unmasked_inside_the_domain(n_particles, ln_prefactor):
+    """All-positive energies skip the masking and still give the masked values bitwise."""
+    gas = IdealGas(n_particles, ln_prefactor)
+    assert_bitwise_as_masked(gas.ln_density,
+                             lambda e: masked_ideal_gas_ln_density(gas, e),
+                             np.geomspace(5e-324, 1e300, 1001))
 
 
 def test_custom_entropy_reproduces_ideal_gas():
@@ -101,14 +111,6 @@ def test_ising_spectrum_symmetry(n_sites, coupling):
     g = np.asarray(spectrum.ln_degeneracies)
     np.testing.assert_allclose(e + e[::-1], 0.0, atol=1e-9)
     np.testing.assert_allclose(g, g[::-1], rtol=1e-12)
-
-
-def test_positive_temperature_branch():
-    spectrum = ising_chain_spectrum(10, 1.0)
-    branch = spectrum.positive_temperature_branch()
-    # k < (10 - 1) / 2 keeps k = 0..4, all strictly below the band center
-    assert len(branch) == 5
-    assert branch.energies[-1] < 0.0
 
 
 def test_ising_midpoint_temperature_boundary():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        ExponentialTail, Lumps, UniformWindow)
 
+from oracles import assert_bitwise_as_masked, masked_exponential_tail_ln_amp_sq
+
 
 def test_algebraic_cutoff_values():
     prof = AlgebraicCutoff(e0=0.0, e_max=1.0, alpha=1.0)
@@ -24,6 +26,16 @@ def test_exponential_tail_values():
     assert prof.ln_amp_sq(-0.5) == -math.inf
     assert prof.support() == [(0.0, math.inf)]
     assert not prof.bounded_above()
+
+
+@pytest.mark.parametrize("delta, kappa, ln_scale", [(1.0, 1.0, 0.0), (1e-3, 0.5, 3.5),
+                                                    (2.0, 1.7, -1e4)])
+def test_exponential_tail_unmasked_inside_the_support(delta, kappa, ln_scale):
+    """All-nonnegative energies skip the masking and still give the masked values bitwise."""
+    prof = ExponentialTail(delta=delta, kappa=kappa, ln_scale=ln_scale)
+    inside = np.concatenate([[0.0], np.geomspace(5e-324, 1e100, 1000)])
+    assert_bitwise_as_masked(prof.ln_amp_sq,
+                             lambda e: masked_exponential_tail_ln_amp_sq(prof, e), inside)
 
 
 def test_uniform_window_values():
