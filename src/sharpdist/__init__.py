@@ -9,8 +9,8 @@ against exact discrete spectra.
 
 __version__ = "0.1.0"
 
-from .configio import (format_kv, model_from_config, parse_kv_text,
-                       profile_from_config, profile_to_config)
+from .configio import (model_from_config, parse_kv_text, profile_from_config,
+                       profile_to_config)
 from .distribution import (DEFAULT_POLICY, BoundedPrediction,
                            DistributionSummary, EnergyDistribution,
                            GridPolicy, PeakResult, TailPrediction,

@@ -29,10 +29,6 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-def format_kv(mapping: Mapping) -> str:
-    return "\n".join("%s=%s" % (k, mapping[k]) for k in sorted(mapping)) + "\n"
-
-
 def _get(cfg: Mapping, key: str, default=None):
     if key in cfg:
         return cfg[key]
@@ -114,37 +110,37 @@ def _log_entropy(coeff: float):
     return s, d1, d2
 
 
-def model_from_config(cfg: Mapping, prefix: str = "model.") -> object:
-    """Build a density-of-states model from config keys under ``prefix``.
+def model_from_config(cfg: Mapping) -> object:
+    """Build a density-of-states model from the ``model.*`` config keys.
 
     Kinds: ideal-gas (n, ln_prefactor), ising-chain (n, j), and
     custom-entropy with form=power (s = coeff * e**exponent) or form=log
     (s = coeff * ln e), plus an optional per-particle domain and the
     volume per particle v handed to the entropy.
     """
-    kind = get_str(cfg, prefix + "kind")
-    n = get_int(cfg, prefix + "n")
+    kind = get_str(cfg, "model.kind")
+    n = get_int(cfg, "model.n")
     if kind == "ideal-gas":
         return IdealGas(n_particles=n,
-                        ln_prefactor=get_float(cfg, prefix + "ln_prefactor", "0.0"))
+                        ln_prefactor=get_float(cfg, "model.ln_prefactor", "0.0"))
     if kind == "ising-chain":
         return IsingChain(n_particles=n,
-                          coupling=get_float(cfg, prefix + "j", "1.0"))
+                          coupling=get_float(cfg, "model.j", "1.0"))
     if kind == "custom-entropy":
-        form = get_str(cfg, prefix + "form")
-        coeff = get_float(cfg, prefix + "coeff")
+        form = get_str(cfg, "model.form")
+        coeff = get_float(cfg, "model.coeff")
         if form == "power":
-            s, d1, d2 = _power_entropy(coeff, get_float(cfg, prefix + "exponent"))
+            s, d1, d2 = _power_entropy(coeff, get_float(cfg, "model.exponent"))
         elif form == "log":
             s, d1, d2 = _log_entropy(coeff)
         else:
             raise ValueError("unknown custom entropy form %r (use power or log)" % form)
-        lo = get_float(cfg, prefix + "domain_lo", "0.0")
-        hi = get_float(cfg, prefix + "domain_hi", "inf")
+        lo = get_float(cfg, "model.domain_lo", "0.0")
+        hi = get_float(cfg, "model.domain_hi", "inf")
         return CustomEntropy(n_particles=n, entropy=s, entropy_d1=d1, entropy_d2=d2,
                              domain_per_particle=(lo, hi),
-                             ln_prefactor=get_float(cfg, prefix + "ln_prefactor", "0.0"),
-                             volume_per_particle=get_float(cfg, prefix + "v", "1.0"))
+                             ln_prefactor=get_float(cfg, "model.ln_prefactor", "0.0"),
+                             volume_per_particle=get_float(cfg, "model.v", "1.0"))
     raise ValueError("unknown model kind %r" % kind)
 
 
@@ -159,71 +155,71 @@ def _parse_lump_intervals(raw: str):
     return out
 
 
-def profile_from_config(cfg: Mapping, prefix: str = "profile.") -> object:
-    """Build an amplitude profile from config keys under ``prefix``.
+def profile_from_config(cfg: Mapping) -> object:
+    """Build an amplitude profile from the ``profile.*`` config keys.
 
     Lump sub-profiles are restricted to uniform windows in the config
     dialect (``lumps=lo:hi,lo:hi,...``); the Python API has no such limit.
     """
-    variant = get_str(cfg, prefix + "variant")
+    variant = get_str(cfg, "profile.variant")
     if variant == "algebraic-cutoff":
-        return AlgebraicCutoff(e0=get_float(cfg, prefix + "e0"),
-                               e_max=get_float(cfg, prefix + "e_max"),
-                               alpha=get_float(cfg, prefix + "alpha"),
-                               ln_scale=get_float(cfg, prefix + "ln_k", "0.0"))
+        return AlgebraicCutoff(e0=get_float(cfg, "profile.e0"),
+                               e_max=get_float(cfg, "profile.e_max"),
+                               alpha=get_float(cfg, "profile.alpha"),
+                               ln_scale=get_float(cfg, "profile.ln_k", "0.0"))
     if variant == "exponential-cutoff":
-        return ExponentialCutoff(e0=get_float(cfg, prefix + "e0"),
-                                 e1=get_float(cfg, prefix + "e1"),
-                                 gamma_exp=get_float(cfg, prefix + "gamma"),
-                                 e_max=get_float(cfg, prefix + "e_max"),
-                                 ln_scale=get_float(cfg, prefix + "ln_k", "0.0"))
+        return ExponentialCutoff(e0=get_float(cfg, "profile.e0"),
+                                 e1=get_float(cfg, "profile.e1"),
+                                 gamma_exp=get_float(cfg, "profile.gamma"),
+                                 e_max=get_float(cfg, "profile.e_max"),
+                                 ln_scale=get_float(cfg, "profile.ln_k", "0.0"))
     if variant == "exponential-tail":
-        return ExponentialTail(delta=get_float(cfg, prefix + "delta"),
-                               kappa=get_float(cfg, prefix + "kappa"),
-                               ln_scale=get_float(cfg, prefix + "ln_k", "0.0"))
+        return ExponentialTail(delta=get_float(cfg, "profile.delta"),
+                               kappa=get_float(cfg, "profile.kappa"),
+                               ln_scale=get_float(cfg, "profile.ln_k", "0.0"))
     if variant == "algebraic-tail":
-        return AlgebraicTail(decay=get_float(cfg, prefix + "eta"),
-                             e_ref=get_float(cfg, prefix + "e_ref", "1.0"),
-                             ln_scale=get_float(cfg, prefix + "ln_k", "0.0"))
+        return AlgebraicTail(decay=get_float(cfg, "profile.eta"),
+                             e_ref=get_float(cfg, "profile.e_ref", "1.0"),
+                             ln_scale=get_float(cfg, "profile.ln_k", "0.0"))
     if variant == "uniform-window":
-        return UniformWindow(e_min=get_float(cfg, prefix + "e_min"),
-                             e_max=get_float(cfg, prefix + "e_max"))
+        return UniformWindow(e_min=get_float(cfg, "profile.e_min"),
+                             e_max=get_float(cfg, "profile.e_max"))
     if variant == "lumps":
-        return Lumps.uniform(_parse_lump_intervals(get_str(cfg, prefix + "lumps")))
+        return Lumps.uniform(_parse_lump_intervals(get_str(cfg, "profile.lumps")))
     raise ValueError("unknown profile variant %r" % variant)
 
 
-def profile_to_config(profile, prefix: str = "profile.") -> dict:
+def profile_to_config(profile) -> dict:
     """Serialize a profile back to the config dialect (inverse of from_config)."""
-    out = {prefix + "variant": profile.variant}
+    out = {"profile.variant": profile.variant}
     if isinstance(profile, AlgebraicCutoff):
-        out[prefix + "e0"] = repr(profile.e0)
-        out[prefix + "e_max"] = repr(profile.e_max)
-        out[prefix + "alpha"] = repr(profile.alpha)
-        out[prefix + "ln_k"] = repr(profile.ln_scale)
+        out["profile.e0"] = repr(profile.e0)
+        out["profile.e_max"] = repr(profile.e_max)
+        out["profile.alpha"] = repr(profile.alpha)
+        out["profile.ln_k"] = repr(profile.ln_scale)
     elif isinstance(profile, ExponentialCutoff):
-        out[prefix + "e0"] = repr(profile.e0)
-        out[prefix + "e1"] = repr(profile.e1)
-        out[prefix + "gamma"] = repr(profile.gamma_exp)
-        out[prefix + "e_max"] = repr(profile.e_max)
-        out[prefix + "ln_k"] = repr(profile.ln_scale)
+        out["profile.e0"] = repr(profile.e0)
+        out["profile.e1"] = repr(profile.e1)
+        out["profile.gamma"] = repr(profile.gamma_exp)
+        out["profile.e_max"] = repr(profile.e_max)
+        out["profile.ln_k"] = repr(profile.ln_scale)
     elif isinstance(profile, ExponentialTail):
-        out[prefix + "delta"] = repr(profile.delta)
-        out[prefix + "kappa"] = repr(profile.kappa)
-        out[prefix + "ln_k"] = repr(profile.ln_scale)
+        out["profile.delta"] = repr(profile.delta)
+        out["profile.kappa"] = repr(profile.kappa)
+        out["profile.ln_k"] = repr(profile.ln_scale)
     elif isinstance(profile, AlgebraicTail):
-        out[prefix + "eta"] = repr(profile.decay)
-        out[prefix + "e_ref"] = repr(profile.e_ref)
-        out[prefix + "ln_k"] = repr(profile.ln_scale)
+        out["profile.eta"] = repr(profile.decay)
+        out["profile.e_ref"] = repr(profile.e_ref)
+        out["profile.ln_k"] = repr(profile.ln_scale)
     elif isinstance(profile, UniformWindow):
-        out[prefix + "e_min"] = repr(profile.e_min)
-        out[prefix + "e_max"] = repr(profile.e_max)
+        out["profile.e_min"] = repr(profile.e_min)
+        out["profile.e_max"] = repr(profile.e_max)
     elif isinstance(profile, Lumps):
         if not all(isinstance(sub, UniformWindow) and (sub.e_min, sub.e_max) == (lo, hi)
                    for lo, hi, sub in profile.pieces):
             raise ValueError("only uniform lumps are representable in the config dialect")
-        out[prefix + "lumps"] = ",".join("%s:%s" % (repr(lo), repr(hi))
-                                         for lo, hi, _ in profile.pieces)
+        out["profile.lumps"] = ",".join("%s:%s" % (repr(lo), repr(hi))
+                                        for lo, hi, _ in profile.pieces)
     else:
         raise ValueError("cannot serialize profile %r" % type(profile).__name__)
     return out

@@ -23,23 +23,25 @@ scan that straddles the cut on its side of the peak and stops within
 1e-10 of the distance from the peak to that cell's far end, on the side
 below the cut.  Each window is cut at the profile's knots that lie
 strictly inside it, so no segment straddles a kink; the two sides of a
-join share the knot.  A
-segment with 0 < lo and hi/lo above ``_GEOMETRIC_SPAN`` is uniform in
-x = ln E instead of E, with the Jacobian E in its masses; every other
-segment is uniform in E.  Segment ends are exact in both cases.
-All segments are refined together, halving the step until the log
-normalization moves by less than ``refine_tol`` between levels; a build
-that reaches ``max_points`` per segment without that raises
-ConvergenceError.  Keeping a window per piece (rather than one global
-window) is what lets mass ratios as small as 1e-40 between separated lumps
-come out right.
+join share the knot.
+
+Each segment's grid is uniform in its own ``Coordinate`` x: ``LOG`` (x =
+ln E) where 0 < lo and hi/lo > ``_GEOMETRIC_SPAN``, else ``LINEAR`` (x =
+E).  The segment's exact ends map to x, and every quadrature integrates
+the weight times dE/dx over x.  All segments are refined together, halving
+the step until the log normalization moves by less than ``refine_tol``
+between levels; a build that reaches ``max_points`` per segment without
+that raises ConvergenceError.  Keeping a window per piece (rather than one
+global window) is what lets mass ratios as small as 1e-40 between
+separated lumps come out right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -101,30 +103,48 @@ DEFAULT_POLICY = GridPolicy()
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Index range [start, stop) of one grid segment inside the grid arrays.
+class Coordinate:
+    """The variable x in which a segment's grid is uniform; LINEAR or LOG, pickled by name.
 
-    ``step`` is the segment's uniform spacing, the h of its quadrature rule:
-    in E, or in ln E when ``geometric``.  Segments cut from one support
-    piece at a knot share that piece's ``support_index``.
+    ``to_x`` maps a segment end to x and ``to_e`` grid points x back to E.
+    dE/dx comes in two forms, equal to rounding: ``ln_jacobian(x)``, added
+    to the build's log-weights, and ``jacobian(E)``, which multiplies point
+    weights and, through its log, segment masses.
     """
 
-    start: int
-    stop: int
-    support_index: int
-    left_at_edge: bool
-    right_at_edge: bool
-    step: float
-    geometric: bool = False
+    name: str
+    to_x: Callable = field(repr=False)
+    to_e: Callable = field(repr=False)
+    ln_jacobian: Callable = field(repr=False)
+    jacobian: Callable = field(repr=False)
+
+    def __reduce__(self):
+        return self.name
+
+
+LINEAR = Coordinate("LINEAR", to_x=lambda e: e, to_e=lambda x: x,
+                    ln_jacobian=lambda x: 0.0, jacobian=lambda e: 1.0)
+LOG = Coordinate("LOG", to_x=math.log, to_e=np.exp,
+                 ln_jacobian=lambda x: x, jacobian=lambda e: e)
 
 
 @dataclass(frozen=True)
-class _Window:
+class Segment:
+    """One grid segment: the window [lo, hi] and its points [start, stop) in the grid arrays.
+
+    The points are uniform in ``coordinate`` at spacing ``step``, set with start and stop
+    at assembly.  Segments cut from one support piece share its ``support_index``.
+    """
+
     lo: float
     hi: float
     support_index: int
     left_at_edge: bool
     right_at_edge: bool
+    coordinate: Coordinate = LINEAR
+    start: int = 0
+    stop: int = 0
+    step: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -140,24 +160,21 @@ class EnergyDistribution:
     policy: GridPolicy
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        w = np.asarray(self.ln_w, dtype=float)
-        g.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "ln_w", w)
+        for name in ("grid", "ln_w"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @cached_property
     def point_masses(self) -> np.ndarray:
-        """exp(ln_w) times each point's quadrature weight (and E on geometric segments)."""
+        """exp(ln_w) times each point's quadrature weight in x and dE/dx."""
         p = np.exp(self.ln_w)
         for seg in self.segments:
             weights = np.full(seg.stop - seg.start, seg.step)
             weights[[0, -1]] *= 0.5
             weights[:5] += seg.step * _GREGORY
             weights[:-6:-1] += seg.step * _GREGORY
-            if seg.geometric:
-                weights *= self.grid[seg.start:seg.stop]
+            weights *= seg.coordinate.jacobian(self.grid[seg.start:seg.stop])
             p[seg.start:seg.stop] *= weights
         p.setflags(write=False)
         return p
@@ -170,10 +187,9 @@ class EnergyDistribution:
         """Log of the probability mass carried by each segment."""
         out = []
         for seg in self.segments:
-            values = self.ln_w[seg.start:seg.stop]
-            if seg.geometric:  # the integrand in ln E carries the Jacobian E
-                values = values + np.log(self.grid[seg.start:seg.stop])
-            out.append(_segment_log_integral(values, seg.step))
+            energies = self.grid[seg.start:seg.stop]
+            f = self.ln_w[seg.start:seg.stop] + np.log(seg.coordinate.jacobian(energies))
+            out.append(_with_end_corrections(_segment_log_trapezoid(f, seg.step), f, seg.step))
         return out
 
 
@@ -403,7 +419,7 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     else:
         j = int(below[np.searchsorted(below, at)])
         w_hi, right_edge = crossing(cand[j - 1] if j > at else e_star, cand[j]), False
-    return _Window(w_lo, w_hi, support_index, left_edge, right_edge)
+    return Segment(w_lo, w_hi, support_index, left_edge, right_edge)
 
 
 def _split_at_knots(window, knots):
@@ -413,23 +429,22 @@ def _split_at_knots(window, knots):
     last = len(bounds) - 2
     return [replace(window, lo=a, hi=b,
                     left_at_edge=window.left_at_edge and i == 0,
-                    right_at_edge=window.right_at_edge and i == last)
+                    right_at_edge=window.right_at_edge and i == last,
+                    coordinate=LOG if 0.0 < a and b > _GEOMETRIC_SPAN * a else LINEAR)
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def _segment_points(lo, hi, geometric, n):
-    """(x, E, step): n points from lo to hi, uniform in x = E, or in x = ln E.
+def _segment_points(lo, hi, coordinate, n):
+    """(x, E, step): n points from lo to hi, uniform in ``coordinate``.
 
     The ends are exactly lo and hi.  Halving the step is exact, so the points
     of n and of 2(n - 1) + 1 coincide bitwise at even indices.
     """
-    x0, x1 = (math.log(lo), math.log(hi)) if geometric else (lo, hi)
+    x0, x1 = coordinate.to_x(lo), coordinate.to_x(hi)
     step = (x1 - x0) / (n - 1)
     x = x0 + step * np.arange(n)
     x[-1] = x1
-    if not geometric:
-        return x, x, step
-    energies = np.exp(x)
+    energies = coordinate.to_e(x)
     energies[0], energies[-1] = lo, hi
     return x, energies, step
 
@@ -440,9 +455,8 @@ def _segment_log_trapezoid(values, step):
     if not math.isfinite(m):
         return -math.inf
     ex = np.exp(values - m)
+    # at least 1/2, as one of the terms is exp(0) and at most half of it drops
     s = float(ex.sum()) - 0.5 * (float(ex[0]) + float(ex[-1]))
-    if s <= 0.0:
-        return -math.inf
     return m + math.log(s) + math.log(step)
 
 
@@ -461,20 +475,29 @@ def _with_end_corrections(ln_trapezoid, values, step):
     return ln_trapezoid + math.log1p(ratio)
 
 
-def _segment_log_integral(values, step):
-    """ln of the corrected-trapezoid integral of exp(values) at a uniform step."""
-    return _with_end_corrections(_segment_log_trapezoid(values, step), values, step)
+def _segment_levels(lnh, seg, n):
+    """Yield (log-weights, ln corrected integral) of ``seg`` at n, 2n - 1, 4n - 3, ... points.
 
-
-def _refined_log_trapezoid(prev, mid_values, half_step):
-    """Trapezoid at half the step from the previous value plus the midpoint sum.
-
-    T(h/2) = T(h)/2 + (h/2) * sum over the new midpoints, carried in logs.
+    The integrand in x is the weight times dE/dx.  A level after the first
+    evaluates lnh only at its new midpoints x0 + h*(1, 3, 5, ...), as the
+    even-index points are the previous level's, bitwise; in logs, its
+    trapezoid sum is T(h/2) = T(h)/2 + (h/2) * (sum over the midpoints).
     """
-    mid = log_sum_exp(mid_values)
-    if mid == -math.inf:
-        return prev - LN2
-    return float(np.logaddexp(prev - LN2, math.log(half_step) + mid))
+    x, energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
+    values = _probe(lnh, energies)
+    f = values + seg.coordinate.ln_jacobian(x)
+    ln_trap = _segment_log_trapezoid(f, h)
+    while True:
+        ln_int = _with_end_corrections(ln_trap, f, h)
+        del x, energies, f  # only the log-weights stay alive between levels
+        yield values, ln_int
+        n = 2 * (n - 1) + 1
+        x, energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
+        finer = np.empty(n)
+        finer[::2], finer[1::2] = values, _probe(lnh, seg.coordinate.to_e(x[1::2]))
+        values = finer
+        f = values + seg.coordinate.ln_jacobian(x)
+        ln_trap = float(np.logaddexp(ln_trap - LN2, math.log(h) + log_sum_exp(f[1::2])))
 
 
 def _check_increasing(grid, segments):
@@ -496,46 +519,26 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     resolution and is not tested for convergence.
     """
     lnh = _log_weight(model, profile)
-    comps = _overlap_components(profile, model)
     knots = profile.knots()
     windows = []
-    for lo, hi, idx in comps:
+    for lo, hi, idx in _overlap_components(profile, model):
         w = _component_window(lnh, lo, hi, idx, knots, policy)
         if w is not None:
             windows.extend(_split_at_knots(w, knots))
     if not windows:
         raise EmptyOverlapError("the combined log-weight is -inf everywhere on the overlap")
     windows.sort(key=lambda w: w.lo)
-    geometric = [w.lo > 0.0 and w.hi > _GEOMETRIC_SPAN * w.lo for w in windows]
 
-    # per segment: log-weights, log trapezoid sum, log corrected integral;
-    # on a geometric segment the integrand in x = ln E is the weight times E
     n = policy.initial_points
-    values, ln_traps, ln_ints = [], [], []
-    for w, geo in zip(windows, geometric):
-        x, g, h = _segment_points(w.lo, w.hi, geo, n)
-        v = _probe(lnh, g)
-        f = v + x if geo else v
-        values.append(v)
-        ln_traps.append(_segment_log_trapezoid(f, h))
-        ln_ints.append(_with_end_corrections(ln_traps[-1], f, h))
-    ln_norm = log_sum_exp(ln_ints)
+    levels = [_segment_levels(lnh, w, n) for w in windows]
+    state = [next(level) for level in levels]  # (log-weights, ln integral) per segment
+    ln_norm = log_sum_exp([ln_int for _, ln_int in state])
     delta = None
     while 2 * (n - 1) + 1 <= policy.max_points:
         n = 2 * (n - 1) + 1
-        for k, (w, geo) in enumerate(zip(windows, geometric)):
-            # the even-index points are the previous level's, bitwise; only
-            # the new midpoints x0 + h*(1, 3, 5, ...) are evaluated
-            x, _, h = _segment_points(w.lo, w.hi, geo, n)
-            g_mid = np.exp(x[1::2]) if geo else x[1::2]
-            v = np.empty(n)
-            v[::2] = values[k]
-            v[1::2] = _probe(lnh, g_mid)
-            values[k] = v
-            f = v + x if geo else v
-            ln_traps[k] = _refined_log_trapezoid(ln_traps[k], f[1::2], h)
-            ln_ints[k] = _with_end_corrections(ln_traps[k], f, h)
-        ln_next = log_sum_exp(ln_ints)
+        for k, level in enumerate(levels):
+            state[k] = next(level)
+        ln_next = log_sum_exp([ln_int for _, ln_int in state])
         delta = abs(ln_next - ln_norm)
         ln_norm = ln_next
         if delta < policy.refine_tol:
@@ -547,15 +550,14 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
                 "|change of ln Z| = %.3g, refine_tol = %.3g"
                 % (n, delta, policy.refine_tol))
 
-    ln_w = np.concatenate(values)
+    ln_w = np.concatenate([values for values, _ in state])
     ln_w -= ln_norm
-    del values  # frees one grid's worth of memory before the grid is built
+    del levels, state  # frees one grid's worth of memory before the grid is built
     grids, segments = [], []
-    for k, (w, geo) in enumerate(zip(windows, geometric)):
-        _, g, h = _segment_points(w.lo, w.hi, geo, n)
+    for k, w in enumerate(windows):
+        _, g, h = _segment_points(w.lo, w.hi, w.coordinate, n)
         grids.append(g)
-        segments.append(Segment(k * n, (k + 1) * n, w.support_index, w.left_at_edge,
-                                w.right_at_edge, h, geo))
+        segments.append(replace(w, start=k * n, stop=(k + 1) * n, step=h))
     grid = np.concatenate(grids)
     _check_increasing(grid, segments)
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
@@ -586,9 +588,7 @@ def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
     """
     i = int(np.argmax(dist.ln_w))
     seg = next(s for s in dist.segments if s.start <= i < s.stop)
-    if i == seg.start and seg.left_at_edge:
-        return PeakResult(float(dist.grid[i]), True)
-    if i == seg.stop - 1 and seg.right_at_edge:
+    if (i == seg.start and seg.left_at_edge) or (i == seg.stop - 1 and seg.right_at_edge):
         return PeakResult(float(dist.grid[i]), True)
     lo = dist.grid[max(i - 1, seg.start)]
     hi = dist.grid[min(i + 1, seg.stop - 1)]
@@ -661,8 +661,7 @@ def lump_mass_fractions(dist: EnergyDistribution):
     """
     if not isinstance(dist.profile, Lumps):
         raise ValueError("distribution was not built from a lumps profile")
-    n_lumps = len(dist.profile.pieces)
-    fractions = [0.0] * n_lumps
+    fractions = [0.0] * len(dist.profile.pieces)
     for seg, lm in zip(dist.segments, dist.segment_ln_masses()):
         fractions[seg.support_index] += math.exp(lm)
     return fractions
@@ -722,7 +721,7 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
         n = g.size
         if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - math.exp(ln_mass)) \
                 > dist.policy.refine_tol:
-            _, g, _ = _segment_points(float(g[0]), float(g[-1]), seg.geometric, n_fine)
+            _, g, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n_fine)
             lw = _probe(lnh, g) - dist.ln_norm
         else:
             stride = max(1, -(-(n - 1) // (budget - 1)))  # ceil division

@@ -4,8 +4,8 @@ import pytest
 
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        ExponentialTail, IdealGas, IsingChain, Lumps,
-                       UniformWindow, format_kv, model_from_config,
-                       parse_kv_text, profile_from_config, profile_to_config)
+                       UniformWindow, model_from_config, parse_kv_text,
+                       profile_from_config, profile_to_config)
 from sharpdist.configio import get_int, get_int_list, keys_read
 
 
@@ -30,11 +30,6 @@ def test_parse_kv_last_duplicate_wins():
 def test_parse_kv_rejects_garbage():
     with pytest.raises(ValueError, match="line 2"):
         parse_kv_text("a=1\nnot a pair\n")
-
-
-def test_format_parse_round_trip():
-    cfg = {"b": "2", "a": "hello", "c.d": "-1.5e-3"}
-    assert parse_kv_text(format_kv(cfg)) == cfg
 
 
 def test_model_from_config_ideal_gas():
@@ -87,8 +82,7 @@ PROFILES = [
 @pytest.mark.parametrize("profile", PROFILES)
 def test_profile_round_trip_is_identity(profile):
     cfg = profile_to_config(profile)
-    text = format_kv(cfg)
-    rebuilt = profile_from_config(parse_kv_text(text))
+    rebuilt = profile_from_config(cfg)
     assert rebuilt == profile
     assert profile_to_config(rebuilt) == cfg
 

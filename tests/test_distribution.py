@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        failure_mode_demo, lump_mass_fractions,
                        microcanonical_entropy, moments, peak, refine_once,
                        summarize, tail_profile_prediction)
-from sharpdist.distribution import (DEFAULT_POLICY, _component_window,
+from sharpdist.distribution import (DEFAULT_POLICY, LINEAR, LOG, _component_window,
                                     _grow_right_edge, _log_weight,
-                                    _section_crossing, _section_max)
+                                    _section_crossing, _section_max, export_curve)
 from sharpdist.numerics import compensated_sum
 
 from oracles import (algebraic_tail_mean, gamma_moments,
@@ -227,6 +228,66 @@ def test_segment_and_point_masses_share_one_trapezoid_rule(lo, widths, n_particl
     assert abs(math.fsum(lump_mass_fractions(dist)) - 1.0) < 1e-12
 
 
+def test_segment_and_point_masses_agree_on_ln_e_segments():
+    """On ln E segments the two Jacobian forms give the same masses.
+
+    The segment masses add ln E to the log-weights and the point masses
+    multiply by E; both integrate to 1 on a fixed, coarse grid.  Broad
+    algebraic tails decay = 3N/2 + 2.5 .. 10 reach past hi/lo = 1e6 beyond
+    their knot for the slower decays, so some draws have an ln E segment.
+    """
+    coordinates = set()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n_particles=st.integers(min_value=2, max_value=5000),
+           excess=st.floats(min_value=2.5, max_value=10.0))
+    def check(n_particles, excess):
+        profile = AlgebraicTail(decay=1.5 * n_particles + excess)
+        policy = GridPolicy(initial_points=1025, max_points=1025)
+        dist = build_distribution(IdealGas(n_particles), profile, policy)
+        coordinates.update(seg.coordinate for seg in dist.segments)
+        segment_total = math.fsum(math.exp(lm) for lm in dist.segment_ln_masses())
+        assert abs(segment_total - 1.0) < 1e-12
+        assert abs(segment_total - compensated_sum(dist.point_masses)) < 1e-12
+
+    check()
+    assert LOG in coordinates
+
+
+@pytest.mark.parametrize("profile, coordinates", [
+    (AlgebraicTail(decay=153.0), [LINEAR, LOG]),
+    (Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]), [LINEAR, LINEAR]),
+], ids=["ln-e-segment", "linear-only"])
+def test_distribution_pickles_and_reprs_without_addresses(profile, coordinates):
+    """A distribution survives pickling with its coordinates, which print by name."""
+    dist = build_distribution(IdealGas(100), profile)
+    assert [seg.coordinate for seg in dist.segments] == coordinates
+    copy = pickle.loads(pickle.dumps(dist))
+    np.testing.assert_array_equal(copy.grid, dist.grid)
+    np.testing.assert_array_equal(copy.ln_w, dist.ln_w)
+    assert copy.segments == dist.segments
+    assert all(a.coordinate is b.coordinate for a, b in zip(copy.segments, dist.segments))
+    assert not any("0x" in repr(seg) for seg in dist.segments)
+
+
+def test_export_resamples_an_ln_e_segment_uniformly_in_ln_e():
+    """The exported rows of an ln E segment span its exact ends, evenly in ln E.
+
+    IdealGas(100) x AlgebraicTail(153) is linear up to its knot at 1 and
+    gridded in ln E beyond it; a trapezoid over the exported rows in E
+    still integrates to 1 closely.
+    """
+    dist = build_distribution(IdealGas(100), AlgebraicTail(decay=153.0))
+    seg = dist.segments[-1]
+    assert seg.coordinate is LOG
+    energies, ln_w = export_curve(dist, 131073)
+    rows = energies[np.flatnonzero(energies == seg.lo)[-1]:]
+    assert rows[0] == seg.lo and rows[-1] == seg.hi
+    spacing = np.diff(np.log(rows))
+    assert np.max(np.abs(spacing / spacing[0] - 1.0)) < 1e-9
+    assert abs(float(np.trapezoid(np.exp(ln_w), energies)) - 1.0) < 1e-6
+
+
 # 3 + u + u^2 + u^3 + u^4 + u^5: degree 5, and positive for u >= -1
 _QUINTIC = np.polynomial.Polynomial([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -259,7 +320,7 @@ def test_gregory_rule_is_exact_for_quintics(n, geometric, refine):
     points = 2 * n - 1 if refine else n
     dist = build_distribution(model, UniformWindow(lo, hi),
                               GridPolicy(initial_points=n, max_points=points))
-    assert [seg.geometric for seg in dist.segments] == [geometric]
+    assert [seg.coordinate for seg in dist.segments] == [LOG if geometric else LINEAR]
     assert dist.grid.size == points
     assert dist.ln_norm == pytest.approx(math.log(exact), abs=1e-13)
     assert dist.normalization_residual() < 1e-13
