@@ -9,8 +9,7 @@ against exact discrete spectra.
 
 __version__ = "0.1.0"
 
-from .configio import (model_from_config, parse_kv_text, profile_from_config,
-                       profile_to_config)
+from .configio import model_from_config, parse_kv_text, profile_from_config
 from .distribution import (DEFAULT_POLICY, BoundedPrediction,
                            DistributionSummary, EnergyDistribution,
                            GridPolicy, PeakResult, TailPrediction,
@@ -18,8 +17,7 @@ from .distribution import (DEFAULT_POLICY, BoundedPrediction,
                            lump_mass_fractions, microcanonical_entropy,
                            moments, peak, refine_once, summarize,
                            tail_profile_prediction)
-from .dos import (ConcavityReport, CustomEntropy, DiscreteSpectrum, IdealGas,
-                  IsingChain, check_concavity_monotonicity,
+from .dos import (CustomEntropy, DiscreteSpectrum, IdealGas, IsingChain,
                   ising_chain_spectrum)
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      EmptyOverlapError, FitError, NoMaximumError,

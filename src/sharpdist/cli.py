@@ -37,7 +37,7 @@ from .errors import (ConvergenceError, DivergenceError, EmptyOverlapError,
 from .oracle import compare_discrete_continuum, prepare_state
 from .scaling import (algebraic_tail_builder, bounded_window_builder,
                       default_n_values, exponential_tail_builder,
-                      failure_mode_demo, fit_power_law, sweep_point)
+                      failure_mode_demo, fit_power_law, sweep)
 
 OUT_DIR_ENV = "SHARPDIST_OUT"
 
@@ -46,7 +46,6 @@ GRID_DEFAULTS = {
     "grid.max_points": "4194305",
     "grid.refine_tol": "1e-10",
     "grid.window_nats": "60.0",
-    "output.max_rows": "131073",
 }
 
 DIST_DEFAULTS = {
@@ -56,7 +55,7 @@ DIST_DEFAULTS = {
     "profile.variant": "uniform-window",
     "profile.e_min": "0.0",
     "profile.e_max": "1.0",
-    "seed": "0",
+    "output.max_rows": "131073",
     **GRID_DEFAULTS,
 }
 
@@ -68,7 +67,6 @@ SCALING_DEFAULTS = {
     "sweep.delta0": "1.0",
     "sweep.eta": "160.0",
     "sweep.e_ref": "1.0",
-    "seed": "0",
     **GRID_DEFAULTS,
 }
 
@@ -95,7 +93,7 @@ FIG1_DEFAULTS = {
     "bounded.ln_k": "0.0",
     "lumps.intervals": "0.0:0.5,0.8:1.0",
     "curve_points": "801",
-    "seed": "0",
+    "output.max_rows": "131073",
     **GRID_DEFAULTS,
 }
 
@@ -109,7 +107,6 @@ FAILURE_DEFAULTS = {
     "model.kind": "ideal-gas",
     "model.n": "100",
     "model.ln_prefactor": "0.0",
-    "seed": "0",
     **GRID_DEFAULTS,
 }
 
@@ -204,16 +201,7 @@ def _scaling_builder(cfg):
 
 def run_scaling(cfg, out_dir: Path) -> list:
     n_values = get_int_list(cfg, "sweep.n_list")
-    if len(n_values) < 3:
-        raise UsageError("sweep.n_list needs at least 3 sizes")
-    builder = _scaling_builder(cfg)
-    policy = _grid_policy(cfg)
-    records, skipped = [], []
-    for n in n_values:
-        try:
-            records.append(sweep_point(builder, n, policy))
-        except (DivergenceError, NoMaximumError, EmptyOverlapError) as exc:
-            skipped.append("N=%d skipped: %s" % (n, exc))
+    records, skipped = sweep(_scaling_builder(cfg), n_values, _grid_policy(cfg))
     fit = None
     if len(records) >= 3:
         fit = fit_power_law(records)

@@ -1,15 +1,16 @@
 """Flat key=value configuration dialect shared by models, profiles and the CLI.
 
 One ``key=value`` pair per line; blank lines and ``#`` comments are
-ignored; later duplicates win.  The same dialect round-trips profiles:
-``profile_from_config(profile_to_config(p)) == p`` because floats are
-serialized with shortest round-trip repr.
+ignored; later duplicates win.  ``model_from_config`` and
+``profile_from_config`` read the ``model.*`` and ``profile.*`` keys, and
+``keys_read`` reports which keys a reader looks up.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
+
+import numpy as np
 
 from .dos import CustomEntropy, IdealGas, IsingChain
 from .profiles import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
@@ -85,26 +86,26 @@ def keys_read(reader, cfg: Mapping) -> set:
 
 
 def _power_entropy(coeff: float, exponent: float):
-    def s(e, v):
+    def s(e):
         return coeff * e ** exponent
 
-    def d1(e, v):
+    def d1(e):
         return coeff * exponent * e ** (exponent - 1.0)
 
-    def d2(e, v):
+    def d2(e):
         return coeff * exponent * (exponent - 1.0) * e ** (exponent - 2.0)
 
     return s, d1, d2
 
 
 def _log_entropy(coeff: float):
-    def s(e, v):
-        return coeff * math.log(e)
+    def s(e):
+        return coeff * np.log(e)
 
-    def d1(e, v):
+    def d1(e):
         return coeff / e
 
-    def d2(e, v):
+    def d2(e):
         return -coeff / (e * e)
 
     return s, d1, d2
@@ -115,8 +116,7 @@ def model_from_config(cfg: Mapping) -> object:
 
     Kinds: ideal-gas (n, ln_prefactor), ising-chain (n, j), and
     custom-entropy with form=power (s = coeff * e**exponent) or form=log
-    (s = coeff * ln e), plus an optional per-particle domain and the
-    volume per particle v handed to the entropy.
+    (s = coeff * ln e), plus an optional per-particle domain.
     """
     kind = get_str(cfg, "model.kind")
     n = get_int(cfg, "model.n")
@@ -139,8 +139,7 @@ def model_from_config(cfg: Mapping) -> object:
         hi = get_float(cfg, "model.domain_hi", "inf")
         return CustomEntropy(n_particles=n, entropy=s, entropy_d1=d1, entropy_d2=d2,
                              domain_per_particle=(lo, hi),
-                             ln_prefactor=get_float(cfg, "model.ln_prefactor", "0.0"),
-                             volume_per_particle=get_float(cfg, "model.v", "1.0"))
+                             ln_prefactor=get_float(cfg, "model.ln_prefactor", "0.0"))
     raise ValueError("unknown model kind %r" % kind)
 
 
@@ -187,39 +186,3 @@ def profile_from_config(cfg: Mapping) -> object:
     if variant == "lumps":
         return Lumps.uniform(_parse_lump_intervals(get_str(cfg, "profile.lumps")))
     raise ValueError("unknown profile variant %r" % variant)
-
-
-def profile_to_config(profile) -> dict:
-    """Serialize a profile back to the config dialect (inverse of from_config)."""
-    out = {"profile.variant": profile.variant}
-    if isinstance(profile, AlgebraicCutoff):
-        out["profile.e0"] = repr(profile.e0)
-        out["profile.e_max"] = repr(profile.e_max)
-        out["profile.alpha"] = repr(profile.alpha)
-        out["profile.ln_k"] = repr(profile.ln_scale)
-    elif isinstance(profile, ExponentialCutoff):
-        out["profile.e0"] = repr(profile.e0)
-        out["profile.e1"] = repr(profile.e1)
-        out["profile.gamma"] = repr(profile.gamma_exp)
-        out["profile.e_max"] = repr(profile.e_max)
-        out["profile.ln_k"] = repr(profile.ln_scale)
-    elif isinstance(profile, ExponentialTail):
-        out["profile.delta"] = repr(profile.delta)
-        out["profile.kappa"] = repr(profile.kappa)
-        out["profile.ln_k"] = repr(profile.ln_scale)
-    elif isinstance(profile, AlgebraicTail):
-        out["profile.eta"] = repr(profile.decay)
-        out["profile.e_ref"] = repr(profile.e_ref)
-        out["profile.ln_k"] = repr(profile.ln_scale)
-    elif isinstance(profile, UniformWindow):
-        out["profile.e_min"] = repr(profile.e_min)
-        out["profile.e_max"] = repr(profile.e_max)
-    elif isinstance(profile, Lumps):
-        if not all(isinstance(sub, UniformWindow) and (sub.e_min, sub.e_max) == (lo, hi)
-                   for lo, hi, sub in profile.pieces):
-            raise ValueError("only uniform lumps are representable in the config dialect")
-        out["profile.lumps"] = ",".join("%s:%s" % (repr(lo), repr(hi))
-                                        for lo, hi, _ in profile.pieces)
-    else:
-        raise ValueError("cannot serialize profile %r" % type(profile).__name__)
-    return out

@@ -167,7 +167,7 @@ class IsingChain:
 
 @dataclass(frozen=True)
 class CustomEntropy:
-    """User-supplied entropy per particle s(e, v) with optional analytic derivatives.
+    """User-supplied entropy per particle s(e) with optional analytic derivatives.
 
     Missing derivatives fall back to centered finite differences at a
     relative step of 1e-5, which is stable enough for the curvature terms
@@ -175,12 +175,11 @@ class CustomEntropy:
     """
 
     n_particles: int
-    entropy: Callable[[float, float], float]
-    entropy_d1: Callable[[float, float], float] | None = None
-    entropy_d2: Callable[[float, float], float] | None = None
+    entropy: Callable[[float], float]
+    entropy_d1: Callable[[float], float] | None = None
+    entropy_d2: Callable[[float], float] | None = None
     domain_per_particle: tuple = (0.0, math.inf)
     ln_prefactor: float = 0.0
-    volume_per_particle: float = 1.0
     kind: str = field(default="custom-entropy", init=False, repr=False)
 
     def __post_init__(self):
@@ -195,14 +194,13 @@ class CustomEntropy:
         return (self.n_particles * lo, self.n_particles * hi)
 
     def _entropy_values(self, e_arr):
-        v = self.volume_per_particle
         try:
-            out = np.asarray(self.entropy(e_arr, v), dtype=float)
+            out = np.asarray(self.entropy(e_arr), dtype=float)
             if out.shape == e_arr.shape:
                 return out
         except (TypeError, ValueError):
             pass
-        return np.array([self.entropy(float(t), v) for t in np.atleast_1d(e_arr)]).reshape(e_arr.shape)
+        return np.array([self.entropy(float(t)) for t in np.atleast_1d(e_arr)]).reshape(e_arr.shape)
 
     def ln_density(self, energy):
         e_arr = np.asarray(energy, dtype=float)
@@ -218,62 +216,13 @@ class CustomEntropy:
         lo, hi = self.domain_per_particle
         if not lo < e < hi:
             raise DomainError("energy per particle outside the model domain")
-        v = self.volume_per_particle
-        s = float(self.entropy(e, v))
+        s = float(self.entropy(e))
         if self.entropy_d1 is not None and self.entropy_d2 is not None:
-            return s, float(self.entropy_d1(e, v)), float(self.entropy_d2(e, v))
+            return s, float(self.entropy_d1(e)), float(self.entropy_d2(e))
         step = FD_RELATIVE_STEP * (abs(e) if e != 0.0 else 1.0)
-        d1, d2 = central_difference(lambda t: float(self.entropy(t, v)), e, step)
+        d1, d2 = central_difference(lambda t: float(self.entropy(t)), e, step)
         if self.entropy_d1 is not None:
-            d1 = float(self.entropy_d1(e, v))
+            d1 = float(self.entropy_d1(e))
         if self.entropy_d2 is not None:
-            d2 = float(self.entropy_d2(e, v))
+            d2 = float(self.entropy_d2(e))
         return s, d1, d2
-
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    """Outcome of the monotonicity / concavity grid check."""
-
-    passed: bool
-    monotone_ok: bool
-    concave_ok: bool
-    first_violation: float | None
-    detail: str
-
-
-def check_concavity_monotonicity(model, energy_range, grid_points: int = 1000) -> ConcavityReport:
-    """Verify ds/de > 0 and d2s/de2 <= 0 on a grid of total energies.
-
-    Violations are reported, never raised; the first violating total energy
-    is returned alongside which condition failed there.
-    """
-    if grid_points < 3:
-        raise ValueError("need at least 3 grid points")
-    lo, hi = energy_range
-    if not lo < hi:
-        raise ValueError("empty energy range")
-    monotone_ok = True
-    concave_ok = True
-    first_violation = None
-    detail = "ok"
-    for energy in np.linspace(lo, hi, grid_points):
-        _, d1, d2 = model.entropy_derivatives(float(energy) / model.n_particles)
-        bad_mono = not d1 > 0.0
-        bad_conc = not d2 <= 0.0
-        if bad_mono or bad_conc:
-            monotone_ok = monotone_ok and not bad_mono
-            concave_ok = concave_ok and not bad_conc
-            if first_violation is None:
-                first_violation = float(energy)
-                parts = []
-                if bad_mono:
-                    parts.append("ds/de = %g is not positive" % d1)
-                if bad_conc:
-                    parts.append("d2s/de2 = %g is not <= 0" % d2)
-                detail = "at E = %g: %s" % (energy, "; ".join(parts))
-    return ConcavityReport(passed=monotone_ok and concave_ok,
-                           monotone_ok=monotone_ok,
-                           concave_ok=concave_ok,
-                           first_violation=first_violation,
-                           detail=detail)

@@ -58,21 +58,22 @@ def sweep_point(builder, n_particles: int, policy=DEFAULT_POLICY) -> SweepRecord
 def sweep(builder, n_values, policy=DEFAULT_POLICY):
     """Sweep records over strictly increasing system sizes (at least 3).
 
-    A failure at any single size propagates with that size attached to the
-    message so the offending point is identifiable.
+    A size whose build diverges, has no maximum or misses the model's
+    domain is skipped.  Returns ``(records, skipped)``, where ``skipped``
+    holds one "N=<size> skipped: <reason>" note per skipped size.
     """
     n_values = [int(n) for n in n_values]
     if len(n_values) < 3:
         raise ValueError("need at least 3 system sizes")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("system sizes must be strictly increasing")
-    records = []
+    records, skipped = [], []
     for n in n_values:
         try:
             records.append(sweep_point(builder, n, policy))
         except (DivergenceError, NoMaximumError, EmptyOverlapError) as exc:
-            raise type(exc)("N=%d: %s" % (n, exc)) from exc
-    return records
+            skipped.append("N=%d skipped: %s" % (n, exc))
+    return records, skipped
 
 
 def fit_power_law(records) -> PowerLawFit:
@@ -150,47 +151,37 @@ def failure_mode_demo(variant: str, model, params, threshold: float = 0.2,
                       policy=DEFAULT_POLICY) -> FailureReport:
     """Demonstrate the tailored regimes where the sharpness claim breaks.
 
-    variant "algebraic-tail": a power-law amplitude tail against ``model``;
-    the outcome is either a divergence report (non-normalizable tail) or a
-    distribution whose ratio is compared against ``threshold``.
-
-    variant "sub-unit-kappa-tail": a stretched-exponential tail with
-    kappa < 1; the saddle-point search and the build are both attempted and
-    whichever failure occurs is reported.
+    The variant picks the profile against ``model``: "algebraic-tail" a
+    power-law amplitude tail, "sub-unit-kappa-tail" a stretched-exponential
+    tail with kappa < 1, whose saddle-point search runs first.  Then the
+    build runs: a non-normalizable tail is "divergent", a missing saddle
+    point "no-maximum", and otherwise the ratio is compared against
+    ``threshold`` ("broad" or "sharp").
     """
+    no_max_detail = None
     if variant == "algebraic-tail":
         profile = AlgebraicTail(decay=float(params["eta"]),
                                 e_ref=float(params.get("e_ref", 1.0)))
-        try:
-            dist = build_distribution(model, profile, policy)
-        except DivergenceError as exc:
-            return FailureReport(variant, "divergent", None, threshold, str(exc))
-        mean, width = moments(dist)
-        ratio = width / mean
-        outcome = "broad" if ratio > threshold else "sharp"
-        return FailureReport(variant, outcome, ratio, threshold,
-                             "windowed ratio %.4g vs threshold %g" % (ratio, threshold))
-
-    if variant == "sub-unit-kappa-tail":
-        kappa = float(params["kappa"])
-        profile = ExponentialTail(delta=float(params.get("delta", 1.0)), kappa=kappa)
-        no_max_detail = None
+    elif variant == "sub-unit-kappa-tail":
+        profile = ExponentialTail(delta=float(params.get("delta", 1.0)),
+                                  kappa=float(params["kappa"]))
         try:
             tail_profile_prediction(model, profile)
         except NoMaximumError as exc:
             no_max_detail = str(exc)
-        try:
-            dist = build_distribution(model, profile, policy)
-        except DivergenceError as exc:
-            outcome = "no-maximum" if no_max_detail else "divergent"
-            detail = str(exc) if no_max_detail is None else "%s; build: %s" % (no_max_detail, exc)
-            return FailureReport(variant, outcome, None, threshold, detail)
-        mean, width = moments(dist)
-        ratio = width / mean
+    else:
+        raise ValueError("unknown failure-demo variant %r" % variant)
+    try:
+        dist = build_distribution(model, profile, policy)
+    except DivergenceError as exc:
         if no_max_detail:
-            return FailureReport(variant, "no-maximum", ratio, threshold, no_max_detail)
-        outcome = "broad" if ratio > threshold else "sharp"
-        return FailureReport(variant, outcome, ratio, threshold,
-                             "windowed ratio %.4g vs threshold %g" % (ratio, threshold))
-
-    raise ValueError("unknown failure-demo variant %r" % variant)
+            return FailureReport(variant, "no-maximum", None, threshold,
+                                 "%s; build: %s" % (no_max_detail, exc))
+        return FailureReport(variant, "divergent", None, threshold, str(exc))
+    mean, width = moments(dist)
+    ratio = width / mean
+    if no_max_detail:
+        return FailureReport(variant, "no-maximum", ratio, threshold, no_max_detail)
+    outcome = "broad" if ratio > threshold else "sharp"
+    return FailureReport(variant, outcome, ratio, threshold,
+                         "windowed ratio %.4g vs threshold %g" % (ratio, threshold))

@@ -71,11 +71,15 @@ def test_criterion_2_bounded_window_oracle():
 
 def test_criterion_3_scaling_band():
     n_values = default_n_values()
-    bounded = fit_power_law(sweep(bounded_window_builder(1.0), n_values))
+    records, skipped = sweep(bounded_window_builder(1.0), n_values)
+    assert skipped == []
+    bounded = fit_power_law(records)
     ok = abs(bounded.kappa - 1.0) <= 0.05 and bounded.r_squared > 0.999
     detail = ["bounded kappa=%.4f r2=%.6f" % (bounded.kappa, bounded.r_squared)]
     for delta_scaling in DELTA_SCALINGS:
-        fit = fit_power_law(sweep(exponential_tail_builder(2.0, delta_scaling), n_values))
+        records, skipped = sweep(exponential_tail_builder(2.0, delta_scaling), n_values)
+        assert skipped == []
+        fit = fit_power_law(records)
         ok = ok and abs(fit.kappa - 0.5) <= 0.02
         detail.append("tail[%s] kappa=%.4f" % (delta_scaling, fit.kappa))
     report(3, ok, "scaling band: " + ", ".join(detail)

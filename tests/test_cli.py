@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpdist.cli import main
+from sharpdist.cli import _DEFAULTS, _RUNNERS, main
+from sharpdist.configio import _Recording
 
 
 def read_rows(path, column_names=None):
@@ -102,7 +103,7 @@ def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["profile.kapa", "model.v"])
 def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
-    # profile.kapa is a typo; model.v is read by custom-entropy only
+    # profile.kapa is a typo; model.v is read by no model kind
     out = tmp_path / "out"
     assert main(["dist", "--out", str(out), "--set", key + "=5"]) == 2
     assert "unknown config key for dist: %s" % key in capsys.readouterr().err
@@ -112,8 +113,44 @@ def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
 def test_keys_of_the_chosen_model_kind_are_known(tmp_path):
     assert main(["dist", "--out", str(tmp_path),
                  "--set", "model.kind=custom-entropy", "--set", "model.form=log",
-                 "--set", "model.coeff=1.5", "--set", "model.v=2",
-                 "--set", "grid.max_points=65537"]) == 0
+                 "--set", "model.coeff=1.5", "--set", "grid.max_points=65537"]) == 0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["dist", "--set", "seed=1"], "seed"),
+    (["scaling", "--set", "output.max_rows=10"], "output.max_rows"),
+    (["dist", "--set", "model.kind=custom-entropy", "--set", "model.form=log",
+      "--set", "model.coeff=1.5", "--set", "model.v=2"], "model.v"),
+], ids=["dist-seed", "scaling-max-rows", "custom-entropy-v"])
+def test_keys_no_command_reads_are_usage_errors(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "unknown config key for %s: %s" % (argv[0], key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# small inputs for every command; scaling runs once per preset, since each
+# preset reads its own sweep.* keys
+_RECORDED_RUNS = {
+    "dist": [{}],
+    "scaling": [{"sweep.preset": preset, "sweep.n_list": "10,20,40"}
+                for preset in ("bounded", "tail-constant", "tail-saddle", "tail-linear",
+                               "tail-algebraic")],
+    "oracle": [{"oracle.n": "40", "profile.e0": "-19.5", "profile.e1": "5.85",
+                "profile.e_max": "-7.8"}],
+    "fig1": [{"model.n": "10", "curve_points": "11"}],
+    "failure-demo": [{}],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_every_default_key_is_read_by_its_command(tmp_path, command):
+    read = set()
+    for overrides in _RECORDED_RUNS[command]:
+        cfg = _Recording({**_DEFAULTS[command], **overrides})
+        _RUNNERS[command](cfg, tmp_path)
+        read |= cfg.read
+    assert sorted(set(_DEFAULTS[command]) - read) == []
 
 
 def test_dist_nan_log_weight_is_config_error(tmp_path, capsys):
@@ -149,9 +186,18 @@ def test_scaling_tail_preset(tmp_path):
     assert kappa == pytest.approx(0.5, abs=0.02)
 
 
-def test_scaling_two_point_list_is_usage_error(tmp_path):
+def test_scaling_two_point_list_is_usage_error(tmp_path, capsys):
     assert main(["scaling", "--out", str(tmp_path),
                  "--set", "sweep.n_list=100,200"]) == 2
+    assert "config error: need at least 3 system sizes" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_scaling_repeated_size_is_config_error(tmp_path, capsys):
+    assert main(["scaling", "--out", str(tmp_path),
+                 "--set", "sweep.n_list=100,100,200"]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_scaling_annotates_failed_sizes(tmp_path):

@@ -31,9 +31,9 @@ def build_checked(model, profile, policy=None):
 
 
 def flat_model(n=2):
-    return CustomEntropy(n, entropy=lambda e, v: 0.0,
-                         entropy_d1=lambda e, v: 0.0,
-                         entropy_d2=lambda e, v: 0.0)
+    return CustomEntropy(n, entropy=lambda e: 0.0,
+                         entropy_d1=lambda e: 0.0,
+                         entropy_d2=lambda e: 0.0)
 
 
 def test_uniform_window_monomial_normalization():
@@ -316,7 +316,7 @@ def test_gregory_rule_is_exact_for_quintics(n, geometric, refine):
             return np.log(_QUINTIC(e - 1.0))
         u = [lo - 1.0, hi - 1.0]
     exact = scale * (_QUINTIC.integ()(u[1]) - _QUINTIC.integ()(u[0]))
-    model = CustomEntropy(2, entropy=lambda e, v: 0.5 * ln_density(2.0 * e))
+    model = CustomEntropy(2, entropy=lambda e: 0.5 * ln_density(2.0 * e))
     points = 2 * n - 1 if refine else n
     dist = build_distribution(model, UniformWindow(lo, hi),
                               GridPolicy(initial_points=n, max_points=points))
@@ -394,8 +394,8 @@ def test_nan_log_weight_raises_domain_error(profile, band):
     refinement and no other grid point.
     """
     lo, hi = band
-    model = CustomEntropy(2, entropy=lambda e, v: np.where((lo < 2.0 * e) & (2.0 * e < hi),
-                                                           np.nan, 0.0))
+    model = CustomEntropy(2, entropy=lambda e: np.where((lo < 2.0 * e) & (2.0 * e < hi),
+                                                        np.nan, 0.0))
     with pytest.raises(DomainError, match="NaN") as info:
         build_distribution(model, profile)
     energy = float(str(info.value).rsplit("=", 1)[1])

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError, IdealGas,
-                       IsingChain, check_concavity_monotonicity,
-                       ising_chain_spectrum)
+                       IsingChain, ising_chain_spectrum)
 from sharpdist.numerics import log_sum_exp
 
 from oracles import (assert_bitwise_as_masked, enumerate_open_chain,
@@ -37,9 +36,9 @@ def test_custom_entropy_reproduces_ideal_gas():
     # log entropy plus the prefactor that undoes the E -> E/N rescaling
     n = 100
     gas = IdealGas(n)
-    custom = CustomEntropy(n, entropy=lambda e, v: 1.5 * math.log(e),
-                           entropy_d1=lambda e, v: 1.5 / e,
-                           entropy_d2=lambda e, v: -1.5 / (e * e),
+    custom = CustomEntropy(n, entropy=lambda e: 1.5 * math.log(e),
+                           entropy_d1=lambda e: 1.5 / e,
+                           entropy_d2=lambda e: -1.5 / (e * e),
                            ln_prefactor=1.5 * n * math.log(n))
     for energy in (0.5, 1.0, 2.0, 7.5):
         assert custom.ln_density(energy) == pytest.approx(gas.ln_density(energy), rel=1e-12)
@@ -146,41 +145,16 @@ def test_custom_entropy_fd_matches_analytic():
     difference at step 1e-5*e carries an irreducible rounding noise of
     about eps * |s| / h^2, so its bound includes that floor.
     """
-    analytic = CustomEntropy(10, entropy=lambda e, v: 2.0 * e ** 0.5,
-                             entropy_d1=lambda e, v: e ** -0.5,
-                             entropy_d2=lambda e, v: -0.5 * e ** -1.5)
-    fallback = CustomEntropy(10, entropy=lambda e, v: 2.0 * e ** 0.5)
+    analytic = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5,
+                             entropy_d1=lambda e: e ** -0.5,
+                             entropy_d2=lambda e: -0.5 * e ** -1.5)
+    fallback = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5)
     for e in (0.3, 1.0, 4.7, 120.0):
         s, d1a, d2a = analytic.entropy_derivatives(e)
         _, d1f, d2f = fallback.entropy_derivatives(e)
         assert d1f == pytest.approx(d1a, rel=1e-6)
         noise = 4.0 * 2.3e-16 * abs(s) / (1e-5 * e) ** 2
         assert d2f == pytest.approx(d2a, rel=1e-6, abs=noise)
-
-
-def test_concavity_check_ideal_gas_passes():
-    report = check_concavity_monotonicity(IdealGas(50), (0.1, 100.0), 1000)
-    assert report.passed
-    assert report.first_violation is None
-
-
-def test_concavity_check_convex_entropy_fails_at_first_point():
-    convex = CustomEntropy(10, entropy=lambda e, v: e * e,
-                           entropy_d1=lambda e, v: 2.0 * e,
-                           entropy_d2=lambda e, v: 2.0)
-    report = check_concavity_monotonicity(convex, (0.1, 10.0), 100)
-    assert not report.passed
-    assert not report.concave_ok
-    assert report.monotone_ok
-    assert report.first_violation == pytest.approx(0.1)
-
-
-def test_concavity_check_ising_positive_branch_passes():
-    n = 200
-    model = IsingChain(n, 1.0)
-    bottom = model.band_bottom
-    report = check_concavity_monotonicity(model, (bottom * 0.999, bottom * 1e-3), 500)
-    assert report.passed, report.detail
 
 
 def test_spectrum_validation():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpdist import (DELTA_SCALINGS, CustomEntropy, DivergenceError,
-                       FitError, IdealGas, SweepRecord, algebraic_tail_builder,
+from sharpdist import (DELTA_SCALINGS, CustomEntropy, FitError, IdealGas,
+                       SweepRecord, algebraic_tail_builder,
                        bounded_window_builder, default_n_values,
                        exponential_tail_builder, failure_mode_demo,
                        fit_power_law, sweep)
@@ -62,7 +62,8 @@ def test_sweep_validation():
 
 def test_bounded_sweep_matches_closed_form_and_fits_inverse_law():
     n_values = (100, 251, 631, 1585, 3981, 10000)
-    records = sweep(bounded_window_builder(1.0), n_values)
+    records, skipped = sweep(bounded_window_builder(1.0), n_values)
+    assert skipped == []
     for rec in records:
         ref = monomial_window_ratio(1.5 * rec.n_particles)
         assert rec.ratio == pytest.approx(ref, rel=1e-6)
@@ -72,7 +73,8 @@ def test_bounded_sweep_matches_closed_form_and_fits_inverse_law():
 
 
 def test_gamma_sweep_matches_closed_form():
-    records = sweep(exponential_tail_builder(1.0), (100, 316, 1000, 3162))
+    records, skipped = sweep(exponential_tail_builder(1.0), (100, 316, 1000, 3162))
+    assert skipped == []
     for rec in records:
         ref = 1.0 / math.sqrt(1.5 * rec.n_particles + 1.0)
         assert rec.ratio == pytest.approx(ref, rel=1e-6)
@@ -82,7 +84,9 @@ def test_gamma_sweep_matches_closed_form():
 
 @pytest.mark.parametrize("delta_scaling", DELTA_SCALINGS)
 def test_tail_sweep_is_half_law_for_every_delta_scaling(delta_scaling):
-    records = sweep(exponential_tail_builder(2.0, delta_scaling), (100, 316, 1000, 3162))
+    records, skipped = sweep(exponential_tail_builder(2.0, delta_scaling),
+                             (100, 316, 1000, 3162))
+    assert skipped == []
     fit = fit_power_law(records)
     assert 0.48 <= fit.kappa <= 0.52
     assert fit.r_squared > 0.999
@@ -93,8 +97,10 @@ def test_delta_scaling_moves_the_mean_but_not_the_ratio():
     leaving width/mean untouched, which is why every scaling fits the same
     exponent."""
     n = 400
-    base = sweep(exponential_tail_builder(2.0, "constant"), (100, 200, 400))[-1]
-    linear = sweep(exponential_tail_builder(2.0, "linear"), (100, 200, 400))[-1]
+    runs = [sweep(exponential_tail_builder(2.0, scaling), (100, 200, 400))
+            for scaling in ("constant", "linear")]
+    assert [skipped for _, skipped in runs] == [[], []]
+    base, linear = (records[-1] for records, _ in runs)
     assert linear.mean == pytest.approx(base.mean * n, rel=1e-9)
     assert linear.ratio == pytest.approx(base.ratio, rel=1e-9)
 
@@ -106,14 +112,18 @@ def test_unknown_delta_scaling_rejected():
 
 def test_sweep_attaches_system_size_to_failures():
     # eta sits exactly on the integrability edge for the first size
-    with pytest.raises(DivergenceError, match="N=100"):
-        sweep(algebraic_tail_builder(eta=151.0), [100, 200, 400])
+    records, skipped = sweep(algebraic_tail_builder(eta=151.0), [100, 200, 400])
+    assert records == []
+    assert len(skipped) == 3
+    for note, n in zip(skipped, (100, 200, 400)):
+        assert note.startswith("N=%d skipped: " % n)
 
 
 def test_algebraic_tail_builder_broadens_toward_the_edge():
     """At fixed eta the effective tail exponent eta - 3N/2 shrinks as N grows,
     so the sharpness ratio widens monotonically on the way to divergence."""
-    records = sweep(algebraic_tail_builder(eta=160.0), [60, 80, 100])
+    records, skipped = sweep(algebraic_tail_builder(eta=160.0), [60, 80, 100])
+    assert skipped == []
     ratios = [r.ratio for r in records]
     assert all(r > 0.0 for r in ratios)
     assert ratios[0] < ratios[1] < ratios[2]
@@ -137,9 +147,9 @@ def test_failure_demo_broad_tail():
 def test_failure_demo_sub_unit_kappa_no_maximum():
     """With square-root entropy the kappa = 1/2 tail decays exactly as fast as
     the state count grows: the stationarity condition never changes sign."""
-    sqrt_entropy = CustomEntropy(100, entropy=lambda e, v: 2.0 * math.sqrt(e),
-                                 entropy_d1=lambda e, v: 1.0 / math.sqrt(e),
-                                 entropy_d2=lambda e, v: -0.5 * e ** -1.5)
+    sqrt_entropy = CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e),
+                                 entropy_d1=lambda e: 1.0 / math.sqrt(e),
+                                 entropy_d2=lambda e: -0.5 * e ** -1.5)
     report = failure_mode_demo("sub-unit-kappa-tail", sqrt_entropy,
                                {"kappa": 0.5, "delta": 1.0})
     assert report.outcome == "no-maximum"
