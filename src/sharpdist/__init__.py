@@ -14,9 +14,8 @@ from .distribution import (DEFAULT_POLICY, BoundedPrediction,
                            DistributionSummary, EnergyDistribution,
                            GridPolicy, PeakResult, TailPrediction,
                            bounded_profile_prediction, build_distribution,
-                           lump_mass_fractions, microcanonical_entropy,
-                           moments, peak, refine_once, summarize,
-                           tail_profile_prediction)
+                           lump_mass_fractions, moments, peak,
+                           refine_once, summarize, tail_profile_prediction)
 from .dos import (CustomEntropy, DiscreteSpectrum, IdealGas, IsingChain,
                   ising_chain_spectrum)
 from .errors import (ConvergenceError, DivergenceError, DomainError,

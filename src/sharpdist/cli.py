@@ -4,7 +4,7 @@ Commands: ``dist`` builds one distribution, ``scaling`` runs a system-size
 sweep with a power-law fit, ``oracle`` compares discrete and continuum
 moments on the spin chain, ``fig1`` emits paired amplitude/distribution
 curves for a bounded profile and a two-lump profile, ``failure-demo`` runs
-the tailored broad/divergent regimes.
+a power-law tail into its broad or divergent regime.
 
 Configuration precedence: ``--set key=value`` flags over the ``--config``
 file over built-in defaults.  A key that is neither among the command's
@@ -98,11 +98,8 @@ FIG1_DEFAULTS = {
 }
 
 FAILURE_DEFAULTS = {
-    "demo.variant": "algebraic-tail",
     "demo.eta": "153.0",
     "demo.e_ref": "1.0",
-    "demo.kappa": "0.5",
-    "demo.delta": "1.0",
     "demo.threshold": "0.2",
     "model.kind": "ideal-gas",
     "model.n": "100",
@@ -271,19 +268,14 @@ def run_fig1(cfg, out_dir: Path) -> list:
 
 
 def run_failure_demo(cfg, out_dir: Path) -> list:
-    model = model_from_config(cfg)
-    variant = get_str(cfg, "demo.variant")
-    params = {"eta": get_float(cfg, "demo.eta"),
-              "e_ref": get_float(cfg, "demo.e_ref"),
-              "kappa": get_float(cfg, "demo.kappa"),
-              "delta": get_float(cfg, "demo.delta")}
-    report = failure_mode_demo(variant, model, params,
+    report = failure_mode_demo(model_from_config(cfg), get_float(cfg, "demo.eta"),
+                               get_float(cfg, "demo.e_ref"),
                                threshold=get_float(cfg, "demo.threshold"),
                                policy=_grid_policy(cfg))
     comments = _comments("failure-demo", cfg)
-    row = (report.variant, report.outcome, report.ratio, report.threshold, report.detail)
+    row = (report.outcome, report.ratio, report.threshold, report.detail)
     files = [write_csv(out_dir / "failure_report.csv",
-                       ("variant", "outcome", "ratio", "threshold", "detail"),
+                       ("outcome", "ratio", "threshold", "detail"),
                        [row], comments)]
     print("outcome=%s" % report.outcome)
     return files
@@ -310,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("scaling", "sweep system sizes and fit the sharpness exponent"),
             ("oracle", "discrete vs continuum comparison on the spin chain"),
             ("fig1", "paired amplitude/distribution curves for a bounded and a two-lump profile"),
-            ("failure-demo", "tailored broad or divergent regimes")):
+            ("failure-demo", "broad or divergent regime of a power-law tail")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

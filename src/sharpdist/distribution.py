@@ -109,7 +109,7 @@ class Coordinate:
     ``to_x`` maps a segment end to x and ``to_e`` grid points x back to E.
     dE/dx comes in two forms, equal to rounding: ``ln_jacobian(x)``, added
     to the build's log-weights, and ``jacobian(E)``, which multiplies point
-    weights and, through its log, segment masses.
+    weights.
     """
 
     name: str
@@ -183,14 +183,9 @@ class EnergyDistribution:
         """|1 - quadrature integral of exp(ln_w)| over the segmented grid."""
         return abs(compensated_sum(self.point_masses) - 1.0)
 
-    def segment_ln_masses(self):
-        """Log of the probability mass carried by each segment."""
-        out = []
-        for seg in self.segments:
-            energies = self.grid[seg.start:seg.stop]
-            f = self.ln_w[seg.start:seg.stop] + np.log(seg.coordinate.jacobian(energies))
-            out.append(_with_end_corrections(_segment_log_trapezoid(f, seg.step), f, seg.step))
-        return out
+    def segment_masses(self):
+        """The probability mass carried by each segment: its point masses, summed."""
+        return [compensated_sum(self.point_masses[seg.start:seg.stop]) for seg in self.segments]
 
 
 @dataclass(frozen=True)
@@ -264,21 +259,23 @@ def _probe(lnh, energies):
 
 
 def _grow_right_edge(lnh, lo, policy):
-    """Finite right bound for a half-infinite piece, past the window cut.
+    """(right bound past the window cut, best probe) for a half-infinite piece.
 
     Doubles outward until the log-weight has fallen well below its running
     maximum, evaluating _DOUBLING_BLOCK doublings per call and testing them
-    in order.  Raises DivergenceError when it never falls (weight grows
+    in order; the best probe is the first doubling that reached that
+    maximum.  Raises DivergenceError when it never falls (weight grows
     without bound) or when the terminal log-log slope is shallower than -1,
     in which case the mass integral cannot converge.
     """
     x0 = max(1.0, 2.0 * abs(lo))
-    best = prev_v = -math.inf
+    x_best, best, prev_v = x0, -math.inf, -math.inf
     for start in range(0, _MAX_EXPAND_DOUBLINGS + 1, _DOUBLING_BLOCK):
         stop = min(start + _DOUBLING_BLOCK, _MAX_EXPAND_DOUBLINGS + 1)
         xs = np.ldexp(x0, np.arange(start, stop))  # x0 * 2**j, exactly
         for x, v in zip(xs.tolist(), _probe(lnh, xs).tolist()):
-            best = max(best, v)
+            if v > best:
+                x_best, best = x, v
             # strict-decrease guard: for log-weights of magnitude ~1e17 the
             # subtraction below would round back to best and fire on growth
             if v < best and v <= best - policy.window_nats - 10.0:
@@ -287,7 +284,7 @@ def _grow_right_edge(lnh, lo, policy):
                     raise DivergenceError(
                         "tail falls like E^%.6g at E = %.6g; the normalization "
                         "integral does not converge" % (slope, x))
-                return x
+                return x, x_best
             prev_v = v
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
@@ -360,10 +357,15 @@ def _section_crossing(lnh, x_above, x_below, target, tol=0.0):
 
 def _component_window(lnh, lo, hi, support_index, knots, policy):
     """Locate the peak of one support piece and cut its quadrature window."""
-    half_infinite = math.isinf(hi)
-    hi_eff = _grow_right_edge(lnh, lo, policy) if half_infinite else hi
-
-    candidates = [np.linspace(lo, hi_eff, _COARSE_POINTS)]
+    candidates = []
+    if math.isinf(hi):
+        # the growth's best probe joins the scan, so the scan's maximum is at
+        # least the growth's and the window cut lies above lnh(hi_eff)
+        hi_eff, x_best = _grow_right_edge(lnh, lo, policy)
+        candidates.append(np.array([x_best]))
+    else:
+        hi_eff = hi
+    candidates.append(np.linspace(lo, hi_eff, _COARSE_POINTS))
     if lo >= 0.0 and hi_eff > 0.0:
         # log-spaced scan so peaks many decades below hi_eff are still seen
         gl = max(lo, hi_eff * 1e-15)
@@ -385,17 +387,6 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
         e_star, lnh_star = float(cand[i]), float(vals[i])
 
     target = lnh_star - policy.window_nats
-    v_lo, v_hi = vals[0], vals[-1]  # the scan's ends are exactly lo and hi_eff
-    if half_infinite:
-        # the running-max threshold during growth may have been below the
-        # true peak; push the edge further if the window is not yet closed
-        for _ in range(_MAX_EXPAND_DOUBLINGS):
-            if v_hi < target:
-                break
-            hi_eff *= 2.0
-            v_hi = _probe(lnh, np.array([hi_eff]))[0]
-        else:
-            raise DivergenceError("window never closes on the right")
 
     def crossing(x_above, x_below):
         return _section_crossing(lnh, x_above, x_below, target,
@@ -407,15 +398,13 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     # the scan point beside a narrow peak may lie below target
     at = int(np.searchsorted(cand, e_star))  # cand[:at] lie left of the peak
     below = np.flatnonzero(vals < target)
-    if v_lo >= target:
+    if vals[0] >= target:  # the scan's ends are exactly lo and hi_eff
         w_lo, left_edge = lo, True
     else:
         j = int(below[np.searchsorted(below, at) - 1])
         w_lo, left_edge = crossing(cand[j + 1] if j + 1 < at else e_star, cand[j]), False
-    if not half_infinite and v_hi >= target:
+    if vals[-1] >= target:  # never for a half-infinite piece: hi_eff lies below target
         w_hi, right_edge = hi, True
-    elif hi_eff > cand[-1]:  # pushed past the scan by the loop above
-        w_hi, right_edge = crossing(e_star, hi_eff), False
     else:
         j = int(below[np.searchsorted(below, at)])
         w_hi, right_edge = crossing(cand[j - 1] if j > at else e_star, cand[j]), False
@@ -648,11 +637,6 @@ def tail_profile_prediction(model, profile: ExponentialTail) -> TailPrediction:
     return TailPrediction(mean=mean, width=1.0 / math.sqrt(-curvature))
 
 
-def microcanonical_entropy(model, mean_energy: float) -> float:
-    """ln of the state count at the mean energy, up to the model's additive constant."""
-    return float(model.ln_density(mean_energy))
-
-
 def lump_mass_fractions(dist: EnergyDistribution):
     """Probability mass carried by each lump of a lumps-profile distribution.
 
@@ -662,13 +646,17 @@ def lump_mass_fractions(dist: EnergyDistribution):
     if not isinstance(dist.profile, Lumps):
         raise ValueError("distribution was not built from a lumps profile")
     fractions = [0.0] * len(dist.profile.pieces)
-    for seg, lm in zip(dist.segments, dist.segment_ln_masses()):
-        fractions[seg.support_index] += math.exp(lm)
+    for seg, mass in zip(dist.segments, dist.segment_masses()):
+        fractions[seg.support_index] += mass
     return fractions
 
 
 def summarize(dist: EnergyDistribution) -> DistributionSummary:
-    """Moments, peak, applicable analytic predictions, and entropy at the mean."""
+    """Moments, peak, applicable analytic predictions, and entropy at the mean.
+
+    The entropy is ``model.ln_density(mean)``: ln of the state count there,
+    up to the model's additive constant.
+    """
     mean, width = moments(dist)
     pk = peak(dist)
     eps_pred = mean_pred = width_pred = None
@@ -694,7 +682,7 @@ def summarize(dist: EnergyDistribution) -> DistributionSummary:
         eps_pred=eps_pred,
         mean_pred=mean_pred,
         width_pred=width_pred,
-        entropy_at_mean=microcanonical_entropy(dist.model, mean),
+        entropy_at_mean=float(dist.model.ln_density(mean)),
     )
 
 
@@ -715,12 +703,11 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
     n_fine = 2 ** ((budget - 1).bit_length() - 1) + 1
     lnh = _log_weight(dist.model, dist.profile)
     grids, ln_ws = [], []
-    for seg, ln_mass in zip(dist.segments, dist.segment_ln_masses()):
+    for seg, mass in zip(dist.segments, dist.segment_masses()):
         g = dist.grid[seg.start:seg.stop]
         lw = dist.ln_w[seg.start:seg.stop]
         n = g.size
-        if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - math.exp(ln_mass)) \
-                > dist.policy.refine_tol:
+        if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - mass) > dist.policy.refine_tol:
             _, g, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n_fine)
             lw = _probe(lnh, g) - dist.ln_norm
         else:

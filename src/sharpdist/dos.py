@@ -169,13 +169,16 @@ class IsingChain:
 class CustomEntropy:
     """User-supplied entropy per particle s(e) with optional analytic derivatives.
 
-    Missing derivatives fall back to centered finite differences at a
-    relative step of 1e-5, which is stable enough for the curvature terms
-    entering width predictions.  The domain is given per particle.
+    ``entropy`` must accept numpy arrays: ``ln_density`` calls it once on
+    the array of per-particle energies (a scalar result broadcasts), and a
+    callable that rejects arrays raises its own error.  The derivatives are
+    called on floats; missing ones fall back to centered finite differences
+    at a relative step of 1e-5, which is stable enough for the curvature
+    terms entering width predictions.  The domain is given per particle.
     """
 
     n_particles: int
-    entropy: Callable[[float], float]
+    entropy: Callable[[np.ndarray], np.ndarray]
     entropy_d1: Callable[[float], float] | None = None
     entropy_d2: Callable[[float], float] | None = None
     domain_per_particle: tuple = (0.0, math.inf)
@@ -193,21 +196,12 @@ class CustomEntropy:
         lo, hi = self.domain_per_particle
         return (self.n_particles * lo, self.n_particles * hi)
 
-    def _entropy_values(self, e_arr):
-        try:
-            out = np.asarray(self.entropy(e_arr), dtype=float)
-            if out.shape == e_arr.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([self.entropy(float(t)) for t in np.atleast_1d(e_arr)]).reshape(e_arr.shape)
-
     def ln_density(self, energy):
         e_arr = np.asarray(energy, dtype=float)
         lo, hi = self.domain()
         inside = (e_arr > lo) & (e_arr < hi)
         per = np.where(inside, e_arr / self.n_particles, 1.0)
-        vals = self.n_particles * self._entropy_values(per) + self.ln_prefactor
+        vals = self.n_particles * np.asarray(self.entropy(per), dtype=float) + self.ln_prefactor
         out = np.where(inside, vals, -np.inf)
         return _finish(e_arr, out)
 

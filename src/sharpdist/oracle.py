@@ -79,10 +79,12 @@ def evolve_phases(state: DiscreteState, t: float) -> DiscreteState:
 
 
 def expectation_of_energy_function(state: DiscreteState, f) -> float:
-    """Sum of weight_k * f(E_k) over populated levels, compensated summation."""
-    weights = np.exp(state.ln_weights)
-    values = np.array([float(f(float(e))) for e in state.spectrum.energies])
-    return math.fsum(weights * values)
+    """Sum of weight_k * f(E_k) over the levels, compensated summation.
+
+    ``f`` is called once, on the array of level energies; a scalar result
+    broadcasts.
+    """
+    return math.fsum(np.exp(state.ln_weights) * f(state.spectrum.energies))
 
 
 def state_moments(state: DiscreteState):

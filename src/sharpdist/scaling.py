@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import DEFAULT_POLICY, build_distribution, moments, tail_profile_prediction
+from .distribution import DEFAULT_POLICY, build_distribution, moments
 from .dos import IdealGas
 from .errors import DivergenceError, EmptyOverlapError, FitError, NoMaximumError
 from .profiles import AlgebraicTail, ExponentialTail, UniformWindow
@@ -38,10 +38,9 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class FailureReport:
-    """Outcome of a tailored broad-or-divergent demonstration run."""
+    """Outcome of a broad-or-divergent power-law tail demonstration run."""
 
-    variant: str
-    outcome: str          # "broad" | "divergent" | "no-maximum" | "sharp"
+    outcome: str          # "broad" | "divergent" | "sharp"
     ratio: float | None
     threshold: float
     detail: str
@@ -147,41 +146,23 @@ def exponential_tail_builder(kappa: float, delta_scaling: str = "constant",
     return build
 
 
-def failure_mode_demo(variant: str, model, params, threshold: float = 0.2,
+def failure_mode_demo(model, eta: float, e_ref: float = 1.0, threshold: float = 0.2,
                       policy=DEFAULT_POLICY) -> FailureReport:
-    """Demonstrate the tailored regimes where the sharpness claim breaks.
+    """Demonstrate the tailored regime where the sharpness claim breaks.
 
-    The variant picks the profile against ``model``: "algebraic-tail" a
-    power-law amplitude tail, "sub-unit-kappa-tail" a stretched-exponential
-    tail with kappa < 1, whose saddle-point search runs first.  Then the
-    build runs: a non-normalizable tail is "divergent", a missing saddle
-    point "no-maximum", and otherwise the ratio is compared against
-    ``threshold`` ("broad" or "sharp").
+    ``model`` runs under the power-law amplitude tail (E / e_ref)**-eta.  A
+    tail that leaves the weight non-normalizable is "divergent"; otherwise
+    the ratio width/mean is compared against ``threshold`` ("broad" or
+    "sharp").  A stretched-exponential tail without a saddle point (kappa
+    = 1/2 against a square-root entropy) fails differently: NoMaximumError
+    from ``tail_profile_prediction`` and DivergenceError from the build.
     """
-    no_max_detail = None
-    if variant == "algebraic-tail":
-        profile = AlgebraicTail(decay=float(params["eta"]),
-                                e_ref=float(params.get("e_ref", 1.0)))
-    elif variant == "sub-unit-kappa-tail":
-        profile = ExponentialTail(delta=float(params.get("delta", 1.0)),
-                                  kappa=float(params["kappa"]))
-        try:
-            tail_profile_prediction(model, profile)
-        except NoMaximumError as exc:
-            no_max_detail = str(exc)
-    else:
-        raise ValueError("unknown failure-demo variant %r" % variant)
     try:
-        dist = build_distribution(model, profile, policy)
+        dist = build_distribution(model, AlgebraicTail(decay=eta, e_ref=e_ref), policy)
     except DivergenceError as exc:
-        if no_max_detail:
-            return FailureReport(variant, "no-maximum", None, threshold,
-                                 "%s; build: %s" % (no_max_detail, exc))
-        return FailureReport(variant, "divergent", None, threshold, str(exc))
+        return FailureReport("divergent", None, threshold, str(exc))
     mean, width = moments(dist)
     ratio = width / mean
-    if no_max_detail:
-        return FailureReport(variant, "no-maximum", ratio, threshold, no_max_detail)
     outcome = "broad" if ratio > threshold else "sharp"
-    return FailureReport(variant, outcome, ratio, threshold,
+    return FailureReport(outcome, ratio, threshold,
                          "windowed ratio %.4g vs threshold %g" % (ratio, threshold))

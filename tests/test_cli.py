@@ -155,10 +155,11 @@ def test_every_default_key_is_read_by_its_command(tmp_path, command):
 
 def test_dist_nan_log_weight_is_config_error(tmp_path, capsys):
     # s = e**0.5 is NaN at the negative energies this custom domain admits
-    code = main(["dist", "--out", str(tmp_path),
-                 "--set", "model.kind=custom-entropy", "--set", "model.form=power",
-                 "--set", "model.coeff=1.0", "--set", "model.exponent=0.5",
-                 "--set", "model.domain_lo=-1.0", "--set", "profile.e_min=-1.0"])
+    with pytest.warns(RuntimeWarning, match="invalid value encountered"):
+        code = main(["dist", "--out", str(tmp_path),
+                     "--set", "model.kind=custom-entropy", "--set", "model.form=power",
+                     "--set", "model.coeff=1.0", "--set", "model.exponent=0.5",
+                     "--set", "model.domain_lo=-1.0", "--set", "profile.e_min=-1.0"])
     assert code == 2
     assert "NaN" in capsys.readouterr().err
 
@@ -305,15 +306,15 @@ def test_failure_demo_divergent(tmp_path):
     assert dict(zip(header, rows[0]))["outcome"] == "divergent"
 
 
-def test_failure_demo_sub_unit_kappa(tmp_path):
-    assert main(["failure-demo", "--out", str(tmp_path),
-                 "--set", "demo.variant=sub-unit-kappa-tail",
-                 "--set", "model.kind=custom-entropy",
-                 "--set", "model.form=power",
-                 "--set", "model.coeff=2.0",
-                 "--set", "model.exponent=0.5"]) == 0
-    _, header, rows = read_rows(tmp_path / "failure_report.csv")
-    assert dict(zip(header, rows[0]))["outcome"] == "no-maximum"
+def test_dist_sub_unit_kappa_tail_diverges(tmp_path, capsys):
+    """Square-root entropy under a kappa = 1/2 tail has no peak: exit 3, no files."""
+    assert main(["dist", "--out", str(tmp_path),
+                 "--set", "model.kind=custom-entropy", "--set", "model.form=power",
+                 "--set", "model.coeff=2.0", "--set", "model.exponent=0.5",
+                 "--set", "profile.variant=exponential-tail",
+                 "--set", "profile.delta=1.0", "--set", "profile.kappa=0.5"]) == 3
+    assert "DivergenceError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -11,9 +11,8 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        EmptyOverlapError, ExponentialCutoff, ExponentialTail,
                        GridPolicy, IdealGas, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
-                       failure_mode_demo, lump_mass_fractions,
-                       microcanonical_entropy, moments, peak, refine_once,
-                       summarize, tail_profile_prediction)
+                       failure_mode_demo, lump_mass_fractions, moments,
+                       peak, refine_once, summarize, tail_profile_prediction)
 from sharpdist.distribution import (DEFAULT_POLICY, LINEAR, LOG, _component_window,
                                     _grow_right_edge, _log_weight,
                                     _section_crossing, _section_max, export_curve)
@@ -180,12 +179,13 @@ def test_tail_prediction_rejects_other_profiles():
 
 
 def test_microcanonical_entropy_values():
+    """The entropy at an energy, as summarize reports it: ln of the state count there."""
     gas = IdealGas(100)
-    assert microcanonical_entropy(gas, 151.0) == pytest.approx(150.0 * math.log(151.0), rel=1e-12)
-    assert microcanonical_entropy(gas, 1.0) == 0.0
+    assert float(gas.ln_density(151.0)) == pytest.approx(150.0 * math.log(151.0), rel=1e-12)
+    assert float(gas.ln_density(1.0)) == 0.0
     from sharpdist import IsingChain
     chain = IsingChain(1000, 1.0)
-    s_mid = microcanonical_entropy(chain, 0.0)
+    s_mid = float(chain.ln_density(0.0))
     n_ln2 = 1000.0 * math.log(2.0)
     assert s_mid < n_ln2
     assert n_ln2 - s_mid < 10.0 * math.log(1000.0)
@@ -215,26 +215,29 @@ def test_single_lump_fraction_is_one():
 def test_segment_and_point_masses_share_one_trapezoid_rule(lo, widths, n_particles):
     """Segment masses, point masses and lump fractions all integrate to 1.
 
-    All three come from the one corrected trapezoid rule, so they agree even
-    on a fixed, coarse grid far from convergence.
+    The build's ln Z and the point masses come from the one corrected
+    trapezoid rule, and segment masses and lump fractions are sums of point
+    masses, so all three agree with ln Z even on a fixed, coarse grid far
+    from convergence.
     """
     w0, gap, w1 = widths
     lumps = Lumps.uniform([(lo, lo + w0), (lo + w0 + gap, lo + w0 + gap + w1)])
     policy = GridPolicy(initial_points=1025, max_points=1025)
     dist = build_distribution(IdealGas(n_particles), lumps, policy)
-    segment_total = math.fsum(math.exp(lm) for lm in dist.segment_ln_masses())
+    segment_total = math.fsum(dist.segment_masses())
     assert abs(segment_total - 1.0) < 1e-12
     assert abs(segment_total - compensated_sum(dist.point_masses)) < 1e-12
     assert abs(math.fsum(lump_mass_fractions(dist)) - 1.0) < 1e-12
 
 
 def test_segment_and_point_masses_agree_on_ln_e_segments():
-    """On ln E segments the two Jacobian forms give the same masses.
+    """On ln E segments the two Jacobian forms give the same mass.
 
-    The segment masses add ln E to the log-weights and the point masses
-    multiply by E; both integrate to 1 on a fixed, coarse grid.  Broad
-    algebraic tails decay = 3N/2 + 2.5 .. 10 reach past hi/lo = 1e6 beyond
-    their knot for the slower decays, so some draws have an ln E segment.
+    The build's ln Z adds ln E to the log-weights and the point masses
+    multiply by E; the segment masses, sums of point masses, integrate to 1
+    against that ln Z on a fixed, coarse grid.  Broad algebraic tails decay
+    = 3N/2 + 2.5 .. 10 reach past hi/lo = 1e6 beyond their knot for the
+    slower decays, so some draws have an ln E segment.
     """
     coordinates = set()
 
@@ -246,7 +249,7 @@ def test_segment_and_point_masses_agree_on_ln_e_segments():
         policy = GridPolicy(initial_points=1025, max_points=1025)
         dist = build_distribution(IdealGas(n_particles), profile, policy)
         coordinates.update(seg.coordinate for seg in dist.segments)
-        segment_total = math.fsum(math.exp(lm) for lm in dist.segment_ln_masses())
+        segment_total = math.fsum(dist.segment_masses())
         assert abs(segment_total - 1.0) < 1e-12
         assert abs(segment_total - compensated_sum(dist.point_masses)) < 1e-12
 
@@ -324,7 +327,7 @@ def test_gregory_rule_is_exact_for_quintics(n, geometric, refine):
     assert dist.grid.size == points
     assert dist.ln_norm == pytest.approx(math.log(exact), abs=1e-13)
     assert dist.normalization_residual() < 1e-13
-    assert dist.segment_ln_masses()[0] == pytest.approx(0.0, abs=1e-13)
+    assert dist.segment_masses()[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_unconverged_refinement_raises_convergence_error():
@@ -337,7 +340,7 @@ def test_unconverged_refinement_raises_convergence_error():
     assert build_distribution(IdealGas(100), UniformWindow(0.0, 1.0), fixed).grid.size == 17
     # the failure demo reports regimes of the profile, not of the grid
     with pytest.raises(ConvergenceError):
-        failure_mode_demo("algebraic-tail", IdealGas(100), {"eta": 153.0}, policy=policy)
+        failure_mode_demo(IdealGas(100), 153.0, policy=policy)
 
 
 @pytest.mark.parametrize("n_particles", [100, 402])
@@ -710,19 +713,20 @@ def test_window_search_and_peak_make_few_log_weight_calls():
 
 def _scalar_right_edge(lnh, lo, window_nats):
     """Reference: the right-edge growth with one scalar log-weight call per doubling."""
-    x = max(1.0, 2.0 * abs(lo))
+    x = x_best = max(1.0, 2.0 * abs(lo))
     prev_v = best = float(lnh(x))
     for _ in range(500):
         x *= 2.0
         v = float(lnh(x))
-        best = max(best, v)
+        if v > best:
+            x_best, best = x, v
         if v < best and v <= best - window_nats - 10.0:
             slope = (v - prev_v) / math.log(2.0)
             if slope >= -1.0 - 1e-6:
                 raise DivergenceError(
                     "tail falls like E^%.6g at E = %.6g; the normalization "
                     "integral does not converge" % (slope, x))
-            return x
+            return x, x_best
         prev_v = v
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
@@ -738,7 +742,10 @@ def _scalar_right_edge(lnh, lo, window_nats):
     (100, AlgebraicTail(decay=100.0)),
 ], ids=["gamma", "slow-stretched", "fast-stretched", "broad", "divergent", "growing"])
 def test_grow_right_edge_matches_scalar_doubling(n_particles, profile):
-    """Blocks of doublings stop where single doublings stop, or fail alike."""
+    """Blocks of doublings stop where single doublings stop, or fail alike.
+
+    Both report the same best probe: the first doubling at the running maximum.
+    """
     lnh = _log_weight(IdealGas(n_particles), profile)
 
     def outcome(grow):

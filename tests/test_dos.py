@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError, IdealGas,
-                       IsingChain, ising_chain_spectrum)
+from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError,
+                       ExponentialTail, IdealGas, IsingChain, build_distribution,
+                       ising_chain_spectrum)
 from sharpdist.numerics import log_sum_exp
 
 from oracles import (assert_bitwise_as_masked, enumerate_open_chain,
@@ -36,13 +37,24 @@ def test_custom_entropy_reproduces_ideal_gas():
     # log entropy plus the prefactor that undoes the E -> E/N rescaling
     n = 100
     gas = IdealGas(n)
-    custom = CustomEntropy(n, entropy=lambda e: 1.5 * math.log(e),
+    custom = CustomEntropy(n, entropy=lambda e: 1.5 * np.log(e),
                            entropy_d1=lambda e: 1.5 / e,
                            entropy_d2=lambda e: -1.5 / (e * e),
                            ln_prefactor=1.5 * n * math.log(n))
     for energy in (0.5, 1.0, 2.0, 7.5):
         assert custom.ln_density(energy) == pytest.approx(gas.ln_density(energy), rel=1e-12)
     assert custom.ln_density(2.0) == pytest.approx(103.972, abs=5e-4)
+
+
+def test_custom_entropy_is_called_on_arrays():
+    """ln_density calls the entropy once, on the array of per-particle energies.
+
+    An entropy built on ``math`` rejects the array, and the build raises
+    that error.
+    """
+    with pytest.raises(TypeError, match="scalar"):
+        build_distribution(CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e)),
+                           ExponentialTail(delta=1.0, kappa=1.0))
 
 
 def test_ideal_gas_entropy_derivatives():

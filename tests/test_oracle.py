@@ -99,6 +99,10 @@ def test_expectation_order_independent():
     for _ in range(5):
         order = rng.permutation(terms.size)
         assert math.fsum(terms[order]) == mean
+    # f is called once on the level array; calling it per level gives the same sum
+    per_level = np.array([(e - mean) ** 2 for e in spectrum.energies.tolist()])
+    assert (expectation_of_energy_function(state, lambda e: (e - mean) ** 2)
+            == math.fsum(np.exp(state.ln_weights) * per_level))
 
 
 def test_compare_discrete_continuum_dense_chain():

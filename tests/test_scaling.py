@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpdist import (DELTA_SCALINGS, CustomEntropy, FitError, IdealGas,
-                       SweepRecord, algebraic_tail_builder,
-                       bounded_window_builder, default_n_values,
-                       exponential_tail_builder, failure_mode_demo,
-                       fit_power_law, sweep)
+from sharpdist import (DELTA_SCALINGS, CustomEntropy, ExponentialTail,
+                       FitError, IdealGas, NoMaximumError, SweepRecord,
+                       algebraic_tail_builder, bounded_window_builder,
+                       default_n_values, exponential_tail_builder,
+                       failure_mode_demo, fit_power_law, sweep,
+                       tail_profile_prediction)
 
 from oracles import monomial_window_ratio
 
@@ -133,32 +135,25 @@ def test_algebraic_tail_builder_broadens_toward_the_edge():
 
 
 def test_failure_demo_divergent_tail():
-    report = failure_mode_demo("algebraic-tail", IdealGas(100), {"eta": 151.0})
+    report = failure_mode_demo(IdealGas(100), 151.0)
     assert report.outcome == "divergent"
     assert report.ratio is None
 
 
 def test_failure_demo_broad_tail():
-    report = failure_mode_demo("algebraic-tail", IdealGas(100), {"eta": 153.0})
+    report = failure_mode_demo(IdealGas(100), 153.0)
     assert report.outcome == "broad"
     assert report.ratio > 0.2
 
 
-def test_failure_demo_sub_unit_kappa_no_maximum():
+def test_sub_unit_kappa_tail_has_no_maximum():
     """With square-root entropy the kappa = 1/2 tail decays exactly as fast as
     the state count grows: the stationarity condition never changes sign."""
-    sqrt_entropy = CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e),
-                                 entropy_d1=lambda e: 1.0 / math.sqrt(e),
+    sqrt_entropy = CustomEntropy(100, entropy=lambda e: 2.0 * np.sqrt(e),
+                                 entropy_d1=lambda e: 1.0 / np.sqrt(e),
                                  entropy_d2=lambda e: -0.5 * e ** -1.5)
-    report = failure_mode_demo("sub-unit-kappa-tail", sqrt_entropy,
-                               {"kappa": 0.5, "delta": 1.0})
-    assert report.outcome == "no-maximum"
-    assert "doublings" in report.detail
-
-
-def test_failure_demo_unknown_variant():
-    with pytest.raises(ValueError):
-        failure_mode_demo("bogus", IdealGas(100), {})
+    with pytest.raises(NoMaximumError, match="doublings"):
+        tail_profile_prediction(sqrt_entropy, ExponentialTail(delta=1.0, kappa=0.5))
 
 
 def test_default_n_values_span_two_decades():
