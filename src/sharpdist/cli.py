@@ -24,14 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import (get_float, get_int, get_int_list, get_str, keys_read,
-                       model_from_config, parse_kv_text, profile_from_config)
+from .configio import (_parse_lump_intervals, get_float, get_int, get_int_list,
+                       get_str, keys_read, model_from_config, parse_kv_text,
+                       profile_from_config)
 from .csvio import (config_comments, write_amplitude_csv, write_csv,
                     write_distribution_csv, write_state_csv, write_summary_csv,
                     write_sweep_csv)
 from .distribution import (GridPolicy, build_distribution, lump_mass_fractions,
                            summarize)
-from .dos import ising_chain_spectrum
+from .dos import IsingChain, ising_chain_spectrum
 from .errors import (ConvergenceError, DivergenceError, EmptyOverlapError,
                      NoMaximumError)
 from .oracle import compare_discrete_continuum, prepare_state
@@ -212,11 +213,10 @@ def run_scaling(cfg, out_dir: Path) -> list:
 
 
 def run_oracle(cfg, out_dir: Path) -> list:
-    n = get_int(cfg, "oracle.n")
-    spectrum = ising_chain_spectrum(n, get_float(cfg, "oracle.j"))
+    n, coupling = get_int(cfg, "oracle.n"), get_float(cfg, "oracle.j")
+    spectrum = ising_chain_spectrum(n, coupling)
     profile = profile_from_config(cfg)
-    from .dos import IsingChain
-    model = IsingChain(n_particles=n, coupling=get_float(cfg, "oracle.j"))
+    model = IsingChain(n_particles=n, coupling=coupling)
     state = prepare_state(spectrum, profile, phase_seed=get_int(cfg, "seed"))
     report = compare_discrete_continuum(spectrum, profile, model, _grid_policy(cfg), state)
     comments = _comments("oracle", cfg)
@@ -246,9 +246,7 @@ def run_fig1(cfg, out_dir: Path) -> list:
                               e_max=get_float(cfg, "bounded.e_max"),
                               alpha=get_float(cfg, "bounded.alpha"),
                               ln_scale=get_float(cfg, "bounded.ln_k"))
-    intervals = [tuple(map(float, tok.split(":")))
-                 for tok in get_str(cfg, "lumps.intervals").split(",")]
-    lumps = Lumps.uniform(intervals)
+    lumps = Lumps.uniform(_parse_lump_intervals(get_str(cfg, "lumps.intervals")))
 
     files = []
     for tag, profile in (("bounded", bounded), ("lumps", lumps)):

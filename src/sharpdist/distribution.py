@@ -18,12 +18,13 @@ log-weight stays within ``window_nats`` of the piece's peak; the mass
 outside that window is bounded by exp(-window_nats) of the piece total.
 The piece's peak and its window edges are found by k-section searches in
 which each round is one vector call of the log-weight; a NaN on any probe
-raises DomainError.  Each edge search starts from the cell of the peak
-scan that straddles the cut on its side of the peak and stops within
-1e-10 of the distance from the peak to that cell's far end, on the side
-below the cut.  Each window is cut at the profile's knots that lie
-strictly inside it, so no segment straddles a kink; the two sides of a
-join share the knot.
+raises DomainError.  The highest piece peak is the distribution's peak
+(on a tie, the lowest piece's), and one on a support edge is that edge.
+Each edge search starts from the cell of the peak scan that straddles the
+cut on its side of the peak and stops within 1e-10 of the distance from
+the peak to that cell's far end, on the side below the cut.  Each window
+is cut at the profile's knots that lie strictly inside it, so no segment
+straddles a kink; the two sides of a join share the knot.
 
 Each segment's grid is uniform in its own ``Coordinate`` x: ``LOG`` (x =
 ln E) where 0 < lo and hi/lo > ``_GEOMETRIC_SPAN``, else ``LINEAR`` (x =
@@ -69,6 +70,9 @@ _SECTION_FRACTIONS = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
 # a window edge search stops within this fraction of the distance from the
 # peak to its bracket's below-target end; the e^-60 cut needs no finer edge
 _EDGE_REL_TOL = 1e-10
+# the maximum search stops once its bracket is no wider than this fraction
+# of its larger end magnitude (floored at 1)
+_PEAK_REL_TOL = 1e-10
 # rounds allowed to either search: at 8 bits a round, enough to narrow any
 # bracket of finite floats (2,098 binades from the largest to the smallest
 # subnormal spacing) down to adjacent floats
@@ -139,8 +143,6 @@ class Segment:
     lo: float
     hi: float
     support_index: int
-    left_at_edge: bool
-    right_at_edge: bool
     coordinate: Coordinate = LINEAR
     start: int = 0
     stop: int = 0
@@ -148,13 +150,20 @@ class Segment:
 
 
 @dataclass(frozen=True)
+class PeakResult:
+    energy: float
+    at_boundary: bool
+
+
+@dataclass(frozen=True)
 class EnergyDistribution:
-    """Normalized log-density ln W(E) on a segmented grid."""
+    """Normalized log-density ln W(E) on a segmented grid, and the location of its maximum."""
 
     grid: np.ndarray
     ln_w: np.ndarray
     ln_norm: float
     segments: tuple
+    peak: PeakResult
     model: object
     profile: object
     policy: GridPolicy
@@ -186,12 +195,6 @@ class EnergyDistribution:
     def segment_masses(self):
         """The probability mass carried by each segment: its point masses, summed."""
         return [compensated_sum(self.point_masses[seg.start:seg.stop]) for seg in self.segments]
-
-
-@dataclass(frozen=True)
-class PeakResult:
-    energy: float
-    at_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -302,12 +305,12 @@ def _section_points(a, b):
     return a + (b - a) * _SECTION_FRACTIONS
 
 
-def _section_max(lnh, lo, hi, rel_tol=1e-10):
+def _section_max(lnh, lo, hi):
     """(argmax, max) of a unimodal log-weight on [lo, hi] by k-section.
 
     Each round evaluates lnh once, on _SECTION_POINTS interior points, and
     keeps the two cells around the best of them, until the bracket is no
-    wider than ``rel_tol`` times its larger end magnitude (floored at 1).
+    wider than _PEAK_REL_TOL times its larger end magnitude (floored at 1).
     Where the top is flat to rounding and several points tie for the best,
     the middle one is kept, so the bracket closes on the centre of the flat
     top rather than on its left end.  Returns the best point of the last
@@ -324,7 +327,7 @@ def _section_max(lnh, lo, hi, rel_tol=1e-10):
             x_best, v_best = float(t[i]), float(v[i])
         a = float(t[i - 1]) if i > 0 else a
         b = float(t[i + 1]) if i + 1 < t.size else b
-        if b - a <= rel_tol * max(abs(a), abs(b), 1.0):
+        if b - a <= _PEAK_REL_TOL * max(abs(a), abs(b), 1.0):
             break
     return x_best, v_best
 
@@ -356,7 +359,10 @@ def _section_crossing(lnh, x_above, x_below, target, tol=0.0):
 
 
 def _component_window(lnh, lo, hi, support_index, knots, policy):
-    """Locate the peak of one support piece and cut its quadrature window."""
+    """(window, peak, lnh at the peak) of one support piece, or None if it carries no weight.
+
+    A peak on a support edge is that edge itself, a point of the scan.
+    """
     candidates = []
     if math.isinf(hi):
         # the growth's best probe joins the scan, so the scan's maximum is at
@@ -399,28 +405,26 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     at = int(np.searchsorted(cand, e_star))  # cand[:at] lie left of the peak
     below = np.flatnonzero(vals < target)
     if vals[0] >= target:  # the scan's ends are exactly lo and hi_eff
-        w_lo, left_edge = lo, True
+        w_lo = lo
     else:
         j = int(below[np.searchsorted(below, at) - 1])
-        w_lo, left_edge = crossing(cand[j + 1] if j + 1 < at else e_star, cand[j]), False
+        w_lo = crossing(cand[j + 1] if j + 1 < at else e_star, cand[j])
     if vals[-1] >= target:  # never for a half-infinite piece: hi_eff lies below target
-        w_hi, right_edge = hi, True
+        w_hi = hi
     else:
         j = int(below[np.searchsorted(below, at)])
-        w_hi, right_edge = crossing(cand[j - 1] if j > at else e_star, cand[j]), False
-    return Segment(w_lo, w_hi, support_index, left_edge, right_edge)
+        w_hi = crossing(cand[j - 1] if j > at else e_star, cand[j])
+    return (Segment(w_lo, w_hi, support_index),
+            PeakResult(e_star, e_star == lo or e_star == hi), lnh_star)
 
 
 def _split_at_knots(window, knots):
     """``window`` cut at the knots strictly inside it; the pieces share each knot."""
     cuts = sorted({k for k in knots if window.lo < k < window.hi})
     bounds = [window.lo] + cuts + [window.hi]
-    last = len(bounds) - 2
     return [replace(window, lo=a, hi=b,
-                    left_at_edge=window.left_at_edge and i == 0,
-                    right_at_edge=window.right_at_edge and i == last,
                     coordinate=LOG if 0.0 < a and b > _GEOMETRIC_SPAN * a else LINEAR)
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _segment_points(lo, hi, coordinate, n):
@@ -509,14 +513,13 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     """
     lnh = _log_weight(model, profile)
     knots = profile.knots()
-    windows = []
-    for lo, hi, idx in _overlap_components(profile, model):
-        w = _component_window(lnh, lo, hi, idx, knots, policy)
-        if w is not None:
-            windows.extend(_split_at_knots(w, knots))
-    if not windows:
+    pieces = [piece for lo, hi, idx in _overlap_components(profile, model)
+              if (piece := _component_window(lnh, lo, hi, idx, knots, policy)) is not None]
+    if not pieces:
         raise EmptyOverlapError("the combined log-weight is -inf everywhere on the overlap")
-    windows.sort(key=lambda w: w.lo)
+    windows = sorted((w for window, _, _ in pieces for w in _split_at_knots(window, knots)),
+                     key=lambda w: w.lo)
+    _, top, _ = max(pieces, key=lambda piece: piece[2])  # the first piece on a tie
 
     n = policy.initial_points
     levels = [_segment_levels(lnh, w, n) for w in windows]
@@ -550,7 +553,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     grid = np.concatenate(grids)
     _check_increasing(grid, segments)
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
-                              segments=tuple(segments), model=model,
+                              segments=tuple(segments), peak=top, model=model,
                               profile=profile, policy=policy)
 
 
@@ -567,25 +570,12 @@ def moments(dist: EnergyDistribution):
     return mean, math.sqrt(var) if var > 0.0 else 0.0
 
 
-def peak(dist: EnergyDistribution, rel_tol: float = 1e-10) -> PeakResult:
-    """Location of the global maximum of ln W.
+def peak(dist: EnergyDistribution) -> PeakResult:
+    """Location of the global maximum of ln W: the highest piece peak the window search found.
 
-    Grid maxima sitting on a support edge are returned as boundary peaks;
-    interior maxima are refined by a k-section search of the log-weight
-    inside the two grid cells around the grid maximum, each round one
-    vector call on _SECTION_POINTS points.
+    A maximum on a support edge is that edge and is flagged ``at_boundary``.
     """
-    i = int(np.argmax(dist.ln_w))
-    seg = next(s for s in dist.segments if s.start <= i < s.stop)
-    if (i == seg.start and seg.left_at_edge) or (i == seg.stop - 1 and seg.right_at_edge):
-        return PeakResult(float(dist.grid[i]), True)
-    lo = dist.grid[max(i - 1, seg.start)]
-    hi = dist.grid[min(i + 1, seg.stop - 1)]
-    e_star, v_star = _section_max(_log_weight(dist.model, dist.profile),
-                                  float(lo), float(hi), rel_tol)
-    if v_star < dist.ln_w[i] + dist.ln_norm:
-        e_star = float(dist.grid[i])
-    return PeakResult(e_star, False)
+    return dist.peak
 
 
 def bounded_profile_prediction(model, profile) -> BoundedPrediction:

@@ -18,7 +18,7 @@ does not load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,7 +82,6 @@ class IdealGas:
 
     n_particles: int
     ln_prefactor: float = 0.0
-    kind: str = field(default="ideal-gas", init=False, repr=False)
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -122,7 +121,6 @@ class IsingChain:
 
     n_particles: int
     coupling: float = 1.0
-    kind: str = field(default="ising-chain", init=False, repr=False)
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -183,7 +181,6 @@ class CustomEntropy:
     entropy_d2: Callable[[float], float] | None = None
     domain_per_particle: tuple = (0.0, math.inf)
     ln_prefactor: float = 0.0
-    kind: str = field(default="custom-entropy", init=False, repr=False)
 
     def __post_init__(self):
         if self.n_particles < 2:

@@ -97,17 +97,16 @@ def fit_power_law(records) -> PowerLawFit:
     return PowerLawFit(kappa=-slope, intercept=intercept, r_squared=r_squared)
 
 
-def default_n_values(decade_lo: int = 2, decade_hi: int = 4, per_decade: int = 5):
-    """Log-spaced integer system sizes, ``per_decade`` points per decade."""
-    count = per_decade * (decade_hi - decade_lo) + 1
-    raw = np.logspace(decade_lo, decade_hi, count)
+def default_n_values():
+    """Log-spaced integer system sizes from 1e2 to 1e4, 5 per decade."""
+    raw = np.logspace(2, 4, 11)
     return tuple(sorted(set(int(round(v)) for v in raw)))
 
 
-def bounded_window_builder(e_max: float = 1.0, ln_prefactor: float = 0.0):
+def bounded_window_builder(e_max: float = 1.0):
     """Ideal gas under a fixed uniform window [0, e_max], any N."""
     def build(n_particles):
-        return IdealGas(n_particles, ln_prefactor), UniformWindow(0.0, e_max)
+        return IdealGas(n_particles), UniformWindow(0.0, e_max)
     return build
 
 

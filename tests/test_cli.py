@@ -291,6 +291,25 @@ def test_fig1_writes_paired_curves(tmp_path):
     assert 0.9 < e_peak <= 1.0
 
 
+def test_fig1_lump_intervals_accept_a_trailing_comma(tmp_path):
+    """fig1 parses lumps.intervals as profile.lumps does: a trailing comma is ignored.
+
+    The files differ only in the echoed configuration of their headers.
+    """
+    plain, comma = tmp_path / "plain", tmp_path / "comma"
+    assert main(["fig1", "--out", str(plain)]) == 0
+    assert main(["fig1", "--set", "lumps.intervals=0.0:0.5,0.8:1.0,",
+                 "--out", str(comma)]) == 0
+    names = sorted(f.name for f in plain.iterdir())
+    assert names == sorted(f.name for f in comma.iterdir())
+    for name in names:
+        header_a, *data_a = read_rows(plain / name)
+        header_b, *data_b = read_rows(comma / name)
+        assert data_a == data_b
+        assert [c for c in header_a if not c.startswith("lumps.intervals=")] == \
+            [c for c in header_b if not c.startswith("lumps.intervals=")]
+
+
 def test_failure_demo_default(tmp_path):
     assert main(["failure-demo", "--out", str(tmp_path)]) == 0
     _, header, rows = read_rows(tmp_path / "failure_report.csv")

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        CustomEntropy, DivergenceError, DomainError,
                        EmptyOverlapError, ExponentialCutoff, ExponentialTail,
-                       GridPolicy, IdealGas, Lumps, UniformWindow,
+                       GridPolicy, IdealGas, IsingChain, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
                        failure_mode_demo, lump_mass_fractions, moments,
                        peak, refine_once, summarize, tail_profile_prediction)
-from sharpdist.distribution import (DEFAULT_POLICY, LINEAR, LOG, _component_window,
-                                    _grow_right_edge, _log_weight,
+from sharpdist.distribution import (_PEAK_REL_TOL, DEFAULT_POLICY, LINEAR, LOG,
+                                    _component_window, _grow_right_edge, _log_weight,
                                     _section_crossing, _section_max, export_curve)
 from sharpdist.numerics import compensated_sum
 
@@ -109,6 +109,30 @@ def test_peak_matches_stationarity_root(kappa):
     assert abs(pk.energy - pred.mean) / pred.mean < 1e-6
 
 
+@pytest.mark.parametrize("model, profile", [
+    (IdealGas(100), ExponentialTail(delta=1.0, kappa=1.0)),
+    (IdealGas(100), ExponentialTail(delta=1.0, kappa=2.0)),
+    (IdealGas(100), UniformWindow(0.0, 1.0)),
+    (IdealGas(100), AlgebraicCutoff(0.3, 1.0, 2.0)),
+    (IdealGas(100), Lumps.uniform([(0.0, 0.5), (0.8, 1.0)])),
+    (IsingChain(1000, 1.0), ExponentialCutoff(-499.5, 149.85, 2.0, -199.8)),
+    (IdealGas(100), AlgebraicTail(decay=153.0)),
+], ids=["gamma", "stretched-tail", "uniform-window", "algebraic-cutoff", "two-lumps",
+        "spin-chain", "broad-algebraic-tail"])
+def test_peak_is_the_highest_point_of_the_build(model, profile):
+    """No grid point lies above the peak's log-weight by more than rounding.
+
+    A boundary peak is an end of the overlap of support and domain, exactly.
+    """
+    dist = build_checked(model, profile)
+    pk = peak(dist)
+    top = float(_log_weight(model, profile)(np.array([pk.energy]))[0])
+    assert np.max(dist.ln_w + dist.ln_norm) - top <= 1e-12 * max(1.0, abs(top))
+    dlo, dhi = model.domain()
+    edges = {bound for lo, hi in profile.support() for bound in (max(lo, dlo), min(hi, dhi))}
+    assert pk.at_boundary == (pk.energy in edges)
+
+
 def test_bounded_prediction_values():
     pred = bounded_profile_prediction(IdealGas(100), UniformWindow(0.0, 1.0))
     assert pred.eps == pytest.approx(1.0 / 150.0, rel=1e-12)
@@ -183,7 +207,6 @@ def test_microcanonical_entropy_values():
     gas = IdealGas(100)
     assert float(gas.ln_density(151.0)) == pytest.approx(150.0 * math.log(151.0), rel=1e-12)
     assert float(gas.ln_density(1.0)) == 0.0
-    from sharpdist import IsingChain
     chain = IsingChain(1000, 1.0)
     s_mid = float(chain.ln_density(0.0))
     n_ln2 = 1000.0 * math.log(2.0)
@@ -538,7 +561,6 @@ def test_summary_fields():
 
 def test_ising_window_distribution():
     """The continuum chain model with a window inside the band normalizes too."""
-    from sharpdist import IsingChain
     dist = build_checked(IsingChain(500, 1.0), UniformWindow(-300.0, -150.0))
     mean, width = moments(dist)
     assert -300.0 < mean < -150.0
@@ -611,9 +633,8 @@ def test_section_crossing_with_a_tolerance_stays_below_and_near(x_above, x_below
     (lambda e: 150.0 * np.log1p((e - 150.0) / 150.0) - (e - 150.0), 100.0, 200.0, 150.0),
 ], ids=["quadratic", "quadratic-negative", "gamma"])
 def test_section_max_lands_within_rel_tol(lnh, lo, hi, argmax):
-    rel_tol = 1e-10
-    x, v = _section_max(lnh, lo, hi, rel_tol)
-    assert abs(x - argmax) <= rel_tol * max(abs(argmax), 1.0)
+    x, v = _section_max(lnh, lo, hi)
+    assert abs(x - argmax) <= _PEAK_REL_TOL * max(abs(argmax), 1.0)
     assert v == lnh(np.array([x]))[0]
 
 
@@ -672,7 +693,9 @@ def test_window_of_a_peak_narrower_than_the_scan():
         e = np.asarray(energy, dtype=float)
         return -1e12 * (e - x0) ** 2
 
-    window = _component_window(lnh, 0.0, 1.0, 0, (), DEFAULT_POLICY)
+    window, pk, lnh_peak = _component_window(lnh, 0.0, 1.0, 0, (), DEFAULT_POLICY)
+    assert pk.energy == pytest.approx(x0, abs=1e-10) and not pk.at_boundary
+    assert lnh_peak == float(lnh(pk.energy))
     half = math.sqrt(60e-12)
     assert window.lo == pytest.approx(x0 - half, abs=1e-10 / 2048)
     assert window.hi == pytest.approx(x0 + half, abs=1e-10 / 2048)
@@ -694,21 +717,22 @@ class _CountingModel:
 
 
 def test_window_search_and_peak_make_few_log_weight_calls():
-    """Every probe of the window search and of peak is one vector call.
+    """Every probe of the window search is one vector call, and peak makes none.
 
     A build of 2 grid levels needs 2 calls; the right-edge growth, the peak
     scan and the maximum 6 more, and each window edge 4: its search starts
     from the peak-scan cell that straddles the cut and stops within 1e-10
     of its distance from the peak.  Edge searches from the peak to adjacent
     floats made 22 calls; with one scalar call per golden-section,
-    bisection or doubling step they made 162, and peak made 32.
+    bisection or doubling step they made 162.  The maximum the window search
+    finds is the distribution's peak, so peak evaluates nothing.
     """
     model = _CountingModel(IdealGas(1000))
     dist = build_distribution(model, ExponentialTail(delta=1.0, kappa=1.0))
     assert model.calls <= 16
     model.calls = 0
     assert peak(dist).energy == pytest.approx(1500.0, rel=1e-6)
-    assert model.calls <= 5
+    assert model.calls == 0
 
 
 def _scalar_right_edge(lnh, lo, window_nats):
