@@ -46,7 +46,6 @@ GRID_DEFAULTS = {
     "grid.initial_points": "4097",
     "grid.max_points": "4194305",
     "grid.refine_tol": "1e-10",
-    "grid.window_nats": "60.0",
 }
 
 DIST_DEFAULTS = {
@@ -150,8 +149,7 @@ def _merge_config(command: str, config_path, set_items) -> dict:
 def _grid_policy(cfg) -> GridPolicy:
     return GridPolicy(initial_points=get_int(cfg, "grid.initial_points"),
                       max_points=get_int(cfg, "grid.max_points"),
-                      refine_tol=get_float(cfg, "grid.refine_tol"),
-                      window_nats=get_float(cfg, "grid.window_nats"))
+                      refine_tol=get_float(cfg, "grid.refine_tol"))
 
 
 def _out_dir(args) -> Path:
@@ -218,7 +216,7 @@ def run_oracle(cfg, out_dir: Path) -> list:
     profile = profile_from_config(cfg)
     model = IsingChain(n_particles=n, coupling=coupling)
     state = prepare_state(spectrum, profile, phase_seed=get_int(cfg, "seed"))
-    report = compare_discrete_continuum(spectrum, profile, model, _grid_policy(cfg), state)
+    report = compare_discrete_continuum(state, profile, model, _grid_policy(cfg))
     comments = _comments("oracle", cfg)
     row = (report.mean_discrete, report.width_discrete, report.mean_continuum,
            report.width_continuum, report.mean_rel_diff, report.width_rel_diff,

@@ -149,16 +149,18 @@ def _parse_lump_intervals(raw: str):
         token = token.strip()
         if not token:
             continue
-        lo, hi = token.split(":")
-        out.append((float(lo), float(hi)))
+        try:
+            lo, hi = token.split(":")
+            out.append((float(lo), float(hi)))
+        except ValueError:
+            raise ValueError("lump interval %r is not lo:hi" % token) from None
     return out
 
 
 def profile_from_config(cfg: Mapping) -> object:
     """Build an amplitude profile from the ``profile.*`` config keys.
 
-    Lump sub-profiles are restricted to uniform windows in the config
-    dialect (``lumps=lo:hi,lo:hi,...``); the Python API has no such limit.
+    Lumps are flat on each interval of ``lumps=lo:hi,lo:hi,...``.
     """
     variant = get_str(cfg, "profile.variant")
     if variant == "algebraic-cutoff":

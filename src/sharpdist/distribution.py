@@ -14,8 +14,8 @@ the segment masses alike.
 
 Grid policy: each connected piece of (profile support intersected with the
 model domain) receives a window covering the region where the local
-log-weight stays within ``window_nats`` of the piece's peak; the mass
-outside that window is bounded by exp(-window_nats) of the piece total.
+log-weight stays within a fixed 60 nats (``_WINDOW_NATS``) of the piece's
+peak; the mass outside that window is bounded by e^-60 of the piece total.
 The piece's peak and its window edges are found by k-section searches in
 which each round is one vector call of the log-weight; a NaN on any probe
 raises DomainError.  The highest piece peak is the distribution's peak
@@ -52,6 +52,8 @@ from .numerics import (LN2, bracket_root_geometric, compensated_sum,
                        log_sum_exp, newton_bisect_root)
 from .profiles import ExponentialTail, Lumps
 
+# each piece's window keeps the region within this many nats of its peak
+_WINDOW_NATS = 60.0
 # a power-law tail must fall at least this much faster than 1/E to count as
 # integrable; slopes at or above it raise DivergenceError
 _SLOPE_MARGIN = 1e-6
@@ -94,13 +96,14 @@ class GridPolicy:
     initial_points: int = 4097
     max_points: int = 4_194_305
     refine_tol: float = 1e-10
-    window_nats: float = 60.0
 
     def __post_init__(self):
         if self.initial_points < 9:
             raise ValueError("initial_points must be at least 9")
-        if self.refine_tol <= 0.0 or self.window_nats <= 0.0:
-            raise ValueError("refine_tol and window_nats must be positive")
+        if self.max_points < self.initial_points:
+            raise ValueError("max_points must be at least initial_points")
+        if self.refine_tol <= 0.0:
+            raise ValueError("refine_tol must be positive")
 
 
 DEFAULT_POLICY = GridPolicy()
@@ -261,7 +264,7 @@ def _probe(lnh, energies):
     return values
 
 
-def _grow_right_edge(lnh, lo, policy):
+def _grow_right_edge(lnh, lo):
     """(right bound past the window cut, best probe) for a half-infinite piece.
 
     Doubles outward until the log-weight has fallen well below its running
@@ -281,7 +284,7 @@ def _grow_right_edge(lnh, lo, policy):
                 x_best, best = x, v
             # strict-decrease guard: for log-weights of magnitude ~1e17 the
             # subtraction below would round back to best and fire on growth
-            if v < best and v <= best - policy.window_nats - 10.0:
+            if v < best and v <= best - _WINDOW_NATS - 10.0:
                 slope = (v - prev_v) / LN2
                 if slope >= -1.0 - _SLOPE_MARGIN:
                     raise DivergenceError(
@@ -292,7 +295,7 @@ def _grow_right_edge(lnh, lo, policy):
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
         "the distribution has no normalizable peak"
-        % (policy.window_nats, _MAX_EXPAND_DOUBLINGS))
+        % (_WINDOW_NATS, _MAX_EXPAND_DOUBLINGS))
 
 
 def _section_points(a, b):
@@ -358,7 +361,7 @@ def _section_crossing(lnh, x_above, x_below, target, tol=0.0):
     return b
 
 
-def _component_window(lnh, lo, hi, support_index, knots, policy):
+def _component_window(lnh, lo, hi, support_index, knots):
     """(window, peak, lnh at the peak) of one support piece, or None if it carries no weight.
 
     A peak on a support edge is that edge itself, a point of the scan.
@@ -367,7 +370,7 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     if math.isinf(hi):
         # the growth's best probe joins the scan, so the scan's maximum is at
         # least the growth's and the window cut lies above lnh(hi_eff)
-        hi_eff, x_best = _grow_right_edge(lnh, lo, policy)
+        hi_eff, x_best = _grow_right_edge(lnh, lo)
         candidates.append(np.array([x_best]))
     else:
         hi_eff = hi
@@ -392,7 +395,7 @@ def _component_window(lnh, lo, hi, support_index, knots, policy):
     if vals[i] > lnh_star:
         e_star, lnh_star = float(cand[i]), float(vals[i])
 
-    target = lnh_star - policy.window_nats
+    target = lnh_star - _WINDOW_NATS
 
     def crossing(x_above, x_below):
         return _section_crossing(lnh, x_above, x_below, target,
@@ -514,7 +517,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     lnh = _log_weight(model, profile)
     knots = profile.knots()
     pieces = [piece for lo, hi, idx in _overlap_components(profile, model)
-              if (piece := _component_window(lnh, lo, hi, idx, knots, policy)) is not None]
+              if (piece := _component_window(lnh, lo, hi, idx, knots)) is not None]
     if not pieces:
         raise EmptyOverlapError("the combined log-weight is -inf everywhere on the overlap")
     windows = sorted((w for window, _, _ in pieces for w in _split_at_knots(window, knots)),
@@ -635,7 +638,7 @@ def lump_mass_fractions(dist: EnergyDistribution):
     """
     if not isinstance(dist.profile, Lumps):
         raise ValueError("distribution was not built from a lumps profile")
-    fractions = [0.0] * len(dist.profile.pieces)
+    fractions = [0.0] * len(dist.profile.intervals)
     for seg, mass in zip(dist.segments, dist.segment_masses()):
         fractions[seg.support_index] += mass
     return fractions
@@ -685,10 +688,13 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
     within that budget, with ln_w evaluated there, when those are more than
     the build's; a trapezoid over the file then still integrates to 1 closely.
     Every other segment is stride-decimated, always keeping its ends.  None
-    or 0 exports the build grid itself.
+    or 0 exports the build grid itself; a negative ``max_rows`` raises
+    ValueError.
     """
     if not max_rows:
         return dist.grid, dist.ln_w
+    if max_rows < 0:
+        raise ValueError("max_rows must not be negative, got %r" % max_rows)
     budget = max(3, int(max_rows) // len(dist.segments))
     n_fine = 2 ** ((budget - 1).bit_length() - 1) + 1
     lnh = _log_weight(dist.model, dist.profile)
@@ -711,13 +717,13 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
     return np.concatenate(grids), np.concatenate(ln_ws)
 
 
-def refine_once(dist: EnergyDistribution, factor: int = 4) -> EnergyDistribution:
-    """Rebuild at a fixed resolution ``factor`` times the final grid of ``dist``.
+def refine_once(dist: EnergyDistribution) -> EnergyDistribution:
+    """Rebuild at a fixed resolution 4 times the final grid of ``dist``.
 
     Used to verify grid stability of derived quantities; the rebuilt
     distribution performs no further adaptive refinement.
     """
     per_segment = dist.segments[0].stop - dist.segments[0].start
-    n = factor * (per_segment - 1) + 1
+    n = 4 * (per_segment - 1) + 1
     forced = replace(dist.policy, initial_points=n, max_points=n)
     return build_distribution(dist.model, dist.profile, forced)

@@ -24,10 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import LN2, _finish, _on_half_line, central_difference
-
-# relative step for finite-difference entropy derivatives of custom models
-FD_RELATIVE_STEP = 1e-5
+from .numerics import LN2, _finish, _on_half_line
 
 
 @dataclass(frozen=True)
@@ -165,20 +162,18 @@ class IsingChain:
 
 @dataclass(frozen=True)
 class CustomEntropy:
-    """User-supplied entropy per particle s(e) with optional analytic derivatives.
+    """User-supplied entropy per particle s(e) with its first two derivatives.
 
     ``entropy`` must accept numpy arrays: ``ln_density`` calls it once on
     the array of per-particle energies (a scalar result broadcasts), and a
     callable that rejects arrays raises its own error.  The derivatives are
-    called on floats; missing ones fall back to centered finite differences
-    at a relative step of 1e-5, which is stable enough for the curvature
-    terms entering width predictions.  The domain is given per particle.
+    called on floats.  The domain is given per particle.
     """
 
     n_particles: int
     entropy: Callable[[np.ndarray], np.ndarray]
-    entropy_d1: Callable[[float], float] | None = None
-    entropy_d2: Callable[[float], float] | None = None
+    entropy_d1: Callable[[float], float]
+    entropy_d2: Callable[[float], float]
     domain_per_particle: tuple = (0.0, math.inf)
     ln_prefactor: float = 0.0
 
@@ -207,13 +202,4 @@ class CustomEntropy:
         lo, hi = self.domain_per_particle
         if not lo < e < hi:
             raise DomainError("energy per particle outside the model domain")
-        s = float(self.entropy(e))
-        if self.entropy_d1 is not None and self.entropy_d2 is not None:
-            return s, float(self.entropy_d1(e)), float(self.entropy_d2(e))
-        step = FD_RELATIVE_STEP * (abs(e) if e != 0.0 else 1.0)
-        d1, d2 = central_difference(lambda t: float(self.entropy(t)), e, step)
-        if self.entropy_d1 is not None:
-            d1 = float(self.entropy_d1(e))
-        if self.entropy_d2 is not None:
-            d2 = float(self.entropy_d2(e))
-        return s, d1, d2
+        return float(self.entropy(e)), float(self.entropy_d1(e)), float(self.entropy_d2(e))

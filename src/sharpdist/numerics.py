@@ -18,6 +18,12 @@ from .errors import NoMaximumError
 
 LN2 = math.log(2.0)
 
+# doublings (and halvings) of the geometric bracket search
+_MAX_DOUBLINGS = 200
+# the Newton solve stops at this relative step, or after _MAX_NEWTON_ITER steps
+_NEWTON_REL_TOL = 1e-13
+_MAX_NEWTON_ITER = 200
+
 
 def _finish(e_arr, out):
     """Return ``out`` as a float when the energy array ``e_arr`` is 0-d."""
@@ -87,13 +93,12 @@ def compensated_sum(values) -> float:
     return math.fsum(partials)
 
 
-def bracket_root_geometric(g: Callable[[float], float], scale: float,
-                           max_doublings: int = 200):
+def bracket_root_geometric(g: Callable[[float], float], scale: float):
     """Search for a sign change of g on a geometric grid anchored at ``scale``.
 
     Scans scale * 2**j upward and then scale / 2**j downward.  Returns a
     bracketing pair (lo, hi); raises NoMaximumError if no sign change is
-    found within ``max_doublings`` steps in either direction.
+    found within _MAX_DOUBLINGS steps in either direction.
     """
     if scale <= 0.0:
         raise ValueError("bracket scale must be positive")
@@ -104,7 +109,7 @@ def bracket_root_geometric(g: Callable[[float], float], scale: float,
         if g_prev == 0.0:
             return x_prev, x_prev
         x = scale
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             x *= factor
             gx = g(x)
             if gx == 0.0:
@@ -120,11 +125,10 @@ def bracket_root_geometric(g: Callable[[float], float], scale: float,
             return found
     raise NoMaximumError(
         "no sign change within %d doublings of the bracket grown from %g"
-        % (max_doublings, scale))
+        % (_MAX_DOUBLINGS, scale))
 
 
-def newton_bisect_root(g, dg, lo: float, hi: float,
-                       rel_tol: float = 1e-13, max_iter: int = 200) -> float:
+def newton_bisect_root(g, dg, lo: float, hi: float) -> float:
     """Root of g inside the bracket [lo, hi], Newton steps safeguarded by bisection."""
     a, b = float(lo), float(hi)
     if a == b:
@@ -137,7 +141,7 @@ def newton_bisect_root(g, dg, lo: float, hi: float,
     if (ga < 0.0) == (gb < 0.0):
         raise ValueError("endpoints do not bracket a root")
     x = 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         gx = g(x)
         if gx == 0.0:
             return x
@@ -149,17 +153,8 @@ def newton_bisect_root(g, dg, lo: float, hi: float,
         x_new = x - gx / d if d != 0.0 else 0.5 * (a + b)
         if not (min(a, b) < x_new < max(a, b)):
             x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= rel_tol * max(abs(x_new), 1e-300):
+        if abs(x_new - x) <= _NEWTON_REL_TOL * max(abs(x_new), 1e-300):
             return x_new
         x = x_new
     return x
 
-
-def central_difference(f: Callable[[float], float], x: float, step: float):
-    """Second-order centered estimates of (f'(x), f''(x))."""
-    fp = f(x + step)
-    fm = f(x - step)
-    f0 = f(x)
-    first = (fp - fm) / (2.0 * step)
-    second = (fp - 2.0 * f0 + fm) / (step * step)
-    return first, second

@@ -114,19 +114,17 @@ def _rel_diff(reference: float, other: float) -> float:
     return abs(reference - other) / abs(reference)
 
 
-def compare_discrete_continuum(spectrum: DiscreteSpectrum, profile, model,
-                               policy=DEFAULT_POLICY, state=None) -> DiscrepancyReport:
+def compare_discrete_continuum(state: DiscreteState, profile, model,
+                               policy=DEFAULT_POLICY) -> DiscrepancyReport:
     """Quantify the dense-spectrum approximation for one profile.
 
-    The same profile weighs the exact levels and the continuum model; the
-    report carries the relative moment discrepancies.  A state populating a
-    single level (or with zero discrete width) is flagged sub-resolution:
-    the continuum picture cannot be meaningful below the level spacing.
-    ``state`` is the prepared state of ``spectrum`` and ``profile``, when
-    the caller already has one; its phases do not enter any moment.
+    ``state`` is the prepared state of ``profile`` on the exact levels
+    (``prepare_state``); its phases do not enter any moment.  The same
+    profile weighs the continuum model, and the report carries the relative
+    moment discrepancies.  A state populating a single level (or with zero
+    discrete width) is flagged sub-resolution: the continuum picture cannot
+    be meaningful below the level spacing.
     """
-    if state is None:
-        state = prepare_state(spectrum, profile)
     mean_d, width_d = state_moments(state)
     dist = build_distribution(model, profile, policy)
     mean_c, width_c = moments(dist)

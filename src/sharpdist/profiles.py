@@ -13,7 +13,7 @@ below e0 exactly as far as the shape stays positive, down to 2*e0 - e_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ INF = math.inf
 class AmplitudeProfile:
     """Interface shared by all profile variants."""
 
-    variant: str = "abstract"
     # m in |a(E)|^2 ~ (e_edge - E)**m at the upper edge of a bounded support:
     # 0 for a hard cut, 1 where the shape has a simple zero
     edge_order = 0
@@ -61,7 +60,6 @@ class AlgebraicCutoff(AmplitudeProfile):
     e_max: float
     alpha: float
     ln_scale: float = 0.0
-    variant: str = field(default="algebraic-cutoff", init=False, repr=False)
 
     edge_order = 1
 
@@ -106,7 +104,6 @@ class ExponentialCutoff(AmplitudeProfile):
     gamma_exp: float
     e_max: float
     ln_scale: float = 0.0
-    variant: str = field(default="exponential-cutoff", init=False, repr=False)
 
     edge_order = 1
 
@@ -149,7 +146,6 @@ class ExponentialTail(AmplitudeProfile):
     delta: float
     kappa: float
     ln_scale: float = 0.0
-    variant: str = field(default="exponential-tail", init=False, repr=False)
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -173,7 +169,6 @@ class AlgebraicTail(AmplitudeProfile):
     decay: float
     e_ref: float = 1.0
     ln_scale: float = 0.0
-    variant: str = field(default="algebraic-tail", init=False, repr=False)
 
     def __post_init__(self):
         if not self.decay > 0.0:
@@ -203,7 +198,6 @@ class UniformWindow(AmplitudeProfile):
 
     e_min: float
     e_max: float
-    variant: str = field(default="uniform-window", init=False, repr=False)
 
     def __post_init__(self):
         if not self.e_max > self.e_min:
@@ -221,65 +215,37 @@ class UniformWindow(AmplitudeProfile):
 
 @dataclass(frozen=True)
 class Lumps(AmplitudeProfile):
-    """Disjoint intervals, each carrying its own sub-profile.
+    """Flat shape on disjoint closed intervals: 0 on each, -inf between and outside them."""
 
-    Within lump i the value equals the sub-profile's value exactly; outside
-    all lumps it is -inf.  Sub-profiles may not themselves be lumps.
-    """
-
-    pieces: tuple
-    variant: str = field(default="lumps", init=False, repr=False)
+    intervals: tuple
 
     def __post_init__(self):
-        pieces = tuple((float(lo), float(hi), sub) for lo, hi, sub in self.pieces)
-        if not pieces:
+        intervals = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        if not intervals:
             raise ValueError("need at least one lump")
         prev_hi = -INF
-        for lo, hi, sub in pieces:
+        for lo, hi in intervals:
             if not lo < hi:
                 raise ValueError("lump interval [%g, %g] is empty" % (lo, hi))
             if lo <= prev_hi:
                 raise ValueError("lump intervals must be sorted and pairwise disjoint")
-            if isinstance(sub, Lumps):
-                raise ValueError("lumps cannot be nested")
-            if not any(max(lo, slo) < min(hi, shi) for slo, shi in sub.support()):
-                raise ValueError("lump [%g, %g] lies outside its sub-profile support" % (lo, hi))
             prev_hi = hi
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "intervals", intervals)
 
     @classmethod
     def uniform(cls, intervals):
-        """Lumps with a flat sub-profile spanning each interval."""
-        return cls(tuple((lo, hi, UniformWindow(lo, hi)) for lo, hi in intervals))
+        """Lumps flat on each of ``intervals``."""
+        return cls(intervals)
 
     def support(self):
-        # exactly one interval per lump, in lump order (enforced at construction)
-        out = []
-        for lo, hi, sub in self.pieces:
-            slo, shi = sub.support()[0]
-            out.append((max(lo, slo), min(hi, shi)))
-        return out
-
-    @property
-    def edge_order(self) -> int:
-        # the last lump keeps its sub-profile's edge only where it does not cut it
-        _, hi, sub = self.pieces[-1]
-        return sub.edge_order if sub.support()[0][1] <= hi else 0
-
-    def knots(self):
-        out = []
-        for lo, hi, sub in self.pieces:
-            out.extend(k for k in sub.knots() if lo < k < hi)
-        return tuple(out)
+        return list(self.intervals)
 
     def ln_amp_sq(self, energy):
         e_arr = np.asarray(energy, dtype=float)
-        out = np.full(e_arr.shape, -np.inf)
-        for lo, hi, sub in self.pieces:
-            mask = (e_arr >= lo) & (e_arr <= hi)
-            if np.any(mask):
-                out = np.where(mask, sub.ln_amp_sq(e_arr), out)
-        return _finish(e_arr, out)
+        inside = np.zeros(e_arr.shape, dtype=bool)
+        for lo, hi in self.intervals:
+            inside |= (e_arr >= lo) & (e_arr <= hi)
+        return _finish(e_arr, np.where(inside, 0.0, -np.inf))
 
 
 def profile_classes():

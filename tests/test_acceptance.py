@@ -153,10 +153,12 @@ def test_criterion_8_discrete_continuum_convergence():
         return ExponentialCutoff(e0=-0.5 * band, e1=0.15 * band, gamma_exp=2.0,
                                  e_max=-0.2 * band)
 
-    dense = compare_discrete_continuum(ising_chain_spectrum(1000, 1.0),
-                                       band_profile(1000), IsingChain(1000, 1.0))
-    sparse = compare_discrete_continuum(ising_chain_spectrum(10, 1.0),
-                                        band_profile(10), IsingChain(10, 1.0))
+    def compare(n):
+        profile = band_profile(n)
+        state = prepare_state(ising_chain_spectrum(n, 1.0), profile)
+        return compare_discrete_continuum(state, profile, IsingChain(n, 1.0))
+
+    dense, sparse = compare(1000), compare(10)
     dense_disc = max(dense.mean_rel_diff, dense.width_rel_diff)
     sparse_disc = max(sparse.mean_rel_diff, sparse.width_rel_diff)
     ok = dense_disc < 1e-2 and sparse_disc >= 10.0 * dense_disc

@@ -101,13 +101,36 @@ def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
     assert "grid.max_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["profile.kapa", "model.v"])
+@pytest.mark.parametrize("key", ["profile.kapa", "model.v", "grid.window_nats"])
 def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
-    # profile.kapa is a typo; model.v is read by no model kind
+    # profile.kapa is a typo; model.v is read by no model kind; the window
+    # cut is a fixed 60 nats, not a setting
     out = tmp_path / "out"
     assert main(["dist", "--out", str(out), "--set", key + "=5"]) == 2
     assert "unknown config key for dist: %s" % key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("grid.max_points=100", "max_points must be at least initial_points"),
+    ("output.max_rows=-1", "max_rows must not be negative"),
+], ids=["max-points-below-initial", "negative-max-rows"])
+def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, capsys,
+                                                                  setting, message):
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--set", "profile.variant=lumps", "--set", "profile.lumps=0.0:0.5:0.7"],
+    ["fig1", "--set", "lumps.intervals=0.0:0.5:0.7"],
+], ids=["dist", "fig1"])
+def test_malformed_lump_interval_names_its_token(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'0.0:0.5:0.7'" in err
 
 
 def test_keys_of_the_chosen_model_kind_are_known(tmp_path):

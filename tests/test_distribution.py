@@ -13,7 +13,7 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        bounded_profile_prediction, build_distribution,
                        failure_mode_demo, lump_mass_fractions, moments,
                        peak, refine_once, summarize, tail_profile_prediction)
-from sharpdist.distribution import (_PEAK_REL_TOL, DEFAULT_POLICY, LINEAR, LOG,
+from sharpdist.distribution import (_PEAK_REL_TOL, _WINDOW_NATS, LINEAR, LOG,
                                     _component_window, _grow_right_edge, _log_weight,
                                     _section_crossing, _section_max, export_curve)
 from sharpdist.numerics import compensated_sum
@@ -33,6 +33,16 @@ def flat_model(n=2):
     return CustomEntropy(n, entropy=lambda e: 0.0,
                          entropy_d1=lambda e: 0.0,
                          entropy_d2=lambda e: 0.0)
+
+
+def _no_derivative(e):
+    raise AssertionError("a build never calls the entropy derivatives")
+
+
+def build_only_model(entropy, n=2):
+    """A custom model whose entropy derivatives are never called."""
+    return CustomEntropy(n, entropy=entropy, entropy_d1=_no_derivative,
+                         entropy_d2=_no_derivative)
 
 
 def test_uniform_window_monomial_normalization():
@@ -177,12 +187,8 @@ def test_cutoff_prediction_has_a_simple_zero_at_the_edge(profile, tol):
 
 
 def test_lumps_edge_order_is_that_of_the_last_lump_edge():
-    cutoff = AlgebraicCutoff(0.3, 1.0, 2.0)
     assert UniformWindow(0.0, 1.0).edge_order == 0
     assert Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]).edge_order == 0
-    # the last lump reaches the cutoff's own zero, or cuts the shape short of it
-    assert Lumps(((0.0, 0.2, UniformWindow(0.0, 0.2)), (0.5, 1.0, cutoff))).edge_order == 1
-    assert Lumps(((0.0, 0.2, UniformWindow(0.0, 0.2)), (0.5, 0.9, cutoff))).edge_order == 0
 
 
 def test_tail_prediction_exponential():
@@ -342,7 +348,7 @@ def test_gregory_rule_is_exact_for_quintics(n, geometric, refine):
             return np.log(_QUINTIC(e - 1.0))
         u = [lo - 1.0, hi - 1.0]
     exact = scale * (_QUINTIC.integ()(u[1]) - _QUINTIC.integ()(u[0]))
-    model = CustomEntropy(2, entropy=lambda e: 0.5 * ln_density(2.0 * e))
+    model = build_only_model(lambda e: 0.5 * ln_density(2.0 * e))
     points = 2 * n - 1 if refine else n
     dist = build_distribution(model, UniformWindow(lo, hi),
                               GridPolicy(initial_points=n, max_points=points))
@@ -364,6 +370,19 @@ def test_unconverged_refinement_raises_convergence_error():
     # the failure demo reports regimes of the profile, not of the grid
     with pytest.raises(ConvergenceError):
         failure_mode_demo(IdealGas(100), 153.0, policy=policy)
+
+
+def test_settings_the_build_would_override_are_rejected():
+    """A cap below the first level, or a negative row budget, raises ValueError.
+
+    A build capped below initial_points could not refine, so it could not
+    test its convergence either.
+    """
+    with pytest.raises(ValueError, match="max_points"):
+        GridPolicy(initial_points=4097, max_points=100)
+    dist = build_checked(IdealGas(100), UniformWindow(0.0, 1.0))
+    with pytest.raises(ValueError, match="max_rows"):
+        export_curve(dist, -1)
 
 
 @pytest.mark.parametrize("n_particles", [100, 402])
@@ -420,8 +439,7 @@ def test_nan_log_weight_raises_domain_error(profile, band):
     refinement and no other grid point.
     """
     lo, hi = band
-    model = CustomEntropy(2, entropy=lambda e: np.where((lo < 2.0 * e) & (2.0 * e < hi),
-                                                        np.nan, 0.0))
+    model = build_only_model(lambda e: np.where((lo < 2.0 * e) & (2.0 * e < hi), np.nan, 0.0))
     with pytest.raises(DomainError, match="NaN") as info:
         build_distribution(model, profile)
     energy = float(str(info.value).rsplit("=", 1)[1])
@@ -521,13 +539,13 @@ def test_width_stable_under_grid_refinement():
     model = IdealGas(100)
     gamma_dist = build_checked(model, ExponentialTail(delta=1.0, kappa=1.0))
     _, w0 = moments(gamma_dist)
-    _, w1 = moments(refine_once(gamma_dist, factor=4))
+    _, w1 = moments(refine_once(gamma_dist))
     assert abs(w1 - w0) / w0 < 1e-6
 
     loose = GridPolicy(refine_tol=1e-8)
     bounded = build_checked(model, UniformWindow(0.0, 1.0), loose)
     _, w0 = moments(bounded)
-    _, w1 = moments(refine_once(bounded, factor=4))
+    _, w1 = moments(refine_once(bounded))
     assert abs(w1 - w0) / w0 < 1e-6
 
 
@@ -674,7 +692,7 @@ def test_nan_probe_in_the_window_search_raises_domain_error():
         return np.where((lo < e) & (e < hi), np.nan, _log_weight(IdealGas(1000), profile)(e))
 
     with pytest.raises(DomainError, match="NaN") as info:
-        _component_window(lnh, 0.0, math.inf, 0, (), DEFAULT_POLICY)
+        _component_window(lnh, 0.0, math.inf, 0, ())
     energy = float(str(info.value).rsplit("=", 1)[1])
     assert lo < energy < hi
 
@@ -693,7 +711,7 @@ def test_window_of_a_peak_narrower_than_the_scan():
         e = np.asarray(energy, dtype=float)
         return -1e12 * (e - x0) ** 2
 
-    window, pk, lnh_peak = _component_window(lnh, 0.0, 1.0, 0, (), DEFAULT_POLICY)
+    window, pk, lnh_peak = _component_window(lnh, 0.0, 1.0, 0, ())
     assert pk.energy == pytest.approx(x0, abs=1e-10) and not pk.at_boundary
     assert lnh_peak == float(lnh(pk.energy))
     half = math.sqrt(60e-12)
@@ -735,7 +753,7 @@ def test_window_search_and_peak_make_few_log_weight_calls():
     assert model.calls == 0
 
 
-def _scalar_right_edge(lnh, lo, window_nats):
+def _scalar_right_edge(lnh, lo):
     """Reference: the right-edge growth with one scalar log-weight call per doubling."""
     x = x_best = max(1.0, 2.0 * abs(lo))
     prev_v = best = float(lnh(x))
@@ -744,7 +762,7 @@ def _scalar_right_edge(lnh, lo, window_nats):
         v = float(lnh(x))
         if v > best:
             x_best, best = x, v
-        if v < best and v <= best - window_nats - 10.0:
+        if v < best and v <= best - _WINDOW_NATS - 10.0:
             slope = (v - prev_v) / math.log(2.0)
             if slope >= -1.0 - 1e-6:
                 raise DivergenceError(
@@ -754,7 +772,7 @@ def _scalar_right_edge(lnh, lo, window_nats):
         prev_v = v
     raise DivergenceError(
         "log-weight never fell %g nats below its maximum within %d doublings; "
-        "the distribution has no normalizable peak" % (window_nats, 500))
+        "the distribution has no normalizable peak" % (_WINDOW_NATS, 500))
 
 
 @pytest.mark.parametrize("n_particles, profile", [
@@ -778,5 +796,5 @@ def test_grow_right_edge_matches_scalar_doubling(n_particles, profile):
         except DivergenceError as exc:
             return str(exc)
 
-    expected = outcome(lambda: _scalar_right_edge(lnh, 0.0, DEFAULT_POLICY.window_nats))
-    assert outcome(lambda: _grow_right_edge(lnh, 0.0, DEFAULT_POLICY)) == expected
+    expected = outcome(lambda: _scalar_right_edge(lnh, 0.0))
+    assert outcome(lambda: _grow_right_edge(lnh, 0.0)) == expected

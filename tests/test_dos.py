@@ -53,7 +53,9 @@ def test_custom_entropy_is_called_on_arrays():
     that error.
     """
     with pytest.raises(TypeError, match="scalar"):
-        build_distribution(CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e)),
+        build_distribution(CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e),
+                                         entropy_d1=lambda e: 1.0 / math.sqrt(e),
+                                         entropy_d2=lambda e: -0.5 * e ** -1.5),
                            ExponentialTail(delta=1.0, kappa=1.0))
 
 
@@ -150,23 +152,20 @@ def test_ising_model_matches_spectrum_on_levels():
     assert model.ln_density(1.0) == -math.inf  # negative-temperature side excluded
 
 
-def test_custom_entropy_fd_matches_analytic():
-    """Finite-difference fallback agrees with supplied derivatives.
+def test_custom_entropy_returns_its_derivatives():
+    """entropy_derivatives returns (s, s', s'') of the supplied functions, as floats.
 
-    First derivatives meet 1e-6 relative outright.  The centered second
-    difference at step 1e-5*e carries an irreducible rounding noise of
-    about eps * |s| / h^2, so its bound includes that floor.
+    Both derivatives are required; there is no numerical fallback.
     """
-    analytic = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5,
-                             entropy_d1=lambda e: e ** -0.5,
-                             entropy_d2=lambda e: -0.5 * e ** -1.5)
-    fallback = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5)
+    model = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5,
+                          entropy_d1=lambda e: e ** -0.5,
+                          entropy_d2=lambda e: -0.5 * e ** -1.5)
     for e in (0.3, 1.0, 4.7, 120.0):
-        s, d1a, d2a = analytic.entropy_derivatives(e)
-        _, d1f, d2f = fallback.entropy_derivatives(e)
-        assert d1f == pytest.approx(d1a, rel=1e-6)
-        noise = 4.0 * 2.3e-16 * abs(s) / (1e-5 * e) ** 2
-        assert d2f == pytest.approx(d2a, rel=1e-6, abs=noise)
+        assert model.entropy_derivatives(e) == (2.0 * e ** 0.5, e ** -0.5, -0.5 * e ** -1.5)
+    with pytest.raises(DomainError):
+        model.entropy_derivatives(-1.0)
+    with pytest.raises(TypeError):
+        CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5)
 
 
 def test_spectrum_validation():

@@ -17,6 +17,12 @@ def band_profile(n_sites, coupling=1.0):
                              e_max=-0.2 * band)
 
 
+def compare_chain(n_sites, profile):
+    """The discrete-continuum report of ``profile`` on the open chain of n_sites, J = 1."""
+    state = prepare_state(ising_chain_spectrum(n_sites, 1.0), profile)
+    return compare_discrete_continuum(state, profile, IsingChain(n_sites, 1.0))
+
+
 def test_prepare_state_small_chain_weights():
     spectrum = ising_chain_spectrum(2, 1.0)
     state = prepare_state(spectrum, UniformWindow(-2.0, 2.0))
@@ -106,28 +112,22 @@ def test_expectation_order_independent():
 
 
 def test_compare_discrete_continuum_dense_chain():
-    n = 1000
-    report = compare_discrete_continuum(ising_chain_spectrum(n, 1.0),
-                                        band_profile(n), IsingChain(n, 1.0))
+    report = compare_chain(1000, band_profile(1000))
     assert report.mean_rel_diff < 1e-2
     assert report.width_rel_diff < 1e-2
     assert not report.sub_resolution
 
 
 def test_compare_discrete_continuum_sparse_chain_degrades():
-    dense = compare_discrete_continuum(ising_chain_spectrum(1000, 1.0),
-                                       band_profile(1000), IsingChain(1000, 1.0))
-    sparse = compare_discrete_continuum(ising_chain_spectrum(10, 1.0),
-                                        band_profile(10), IsingChain(10, 1.0))
+    dense = compare_chain(1000, band_profile(1000))
+    sparse = compare_chain(10, band_profile(10))
     dense_disc = max(dense.mean_rel_diff, dense.width_rel_diff)
     sparse_disc = max(sparse.mean_rel_diff, sparse.width_rel_diff)
     assert sparse_disc > 10.0 * dense_disc
 
 
 def test_compare_single_level_window_flagged_sub_resolution():
-    spectrum = ising_chain_spectrum(10, 1.0)
-    report = compare_discrete_continuum(spectrum, UniformWindow(-5.5, -4.5),
-                                        IsingChain(10, 1.0))
+    report = compare_chain(10, UniformWindow(-5.5, -4.5))
     assert report.populated_levels == 1
     assert report.width_discrete == 0.0
     assert report.sub_resolution

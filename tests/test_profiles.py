@@ -83,12 +83,24 @@ def test_exponential_cutoff_total_cancellation_is_minus_inf():
     assert vals[-1] == -math.inf
 
 
-def test_lumps_delegate_exactly():
-    sub = AlgebraicCutoff(e0=0.0, e_max=1.0, alpha=2.0)
-    lumps = Lumps(((0.1, 0.4, sub), (0.6, 0.9, sub)))
-    for x in (0.15, 0.35, 0.7):
-        assert lumps.ln_amp_sq(x) == sub.ln_amp_sq(x)
-    assert lumps.ln_amp_sq(0.5) == -math.inf
+def test_lumps_are_flat_on_closed_intervals():
+    """Exactly 0 at both ends of each interval and inside it, -inf between and outside.
+
+    Floats give floats, and 0-d and 1-d arrays give the same values.
+    """
+    lumps = Lumps([(0.1, 0.4), (0.6, 0.9)])
+    inside = [0.1, 0.25, 0.4, 0.6, 0.7, 0.9]
+    outside = [-1.0, 0.0, math.nextafter(0.1, 0.0), math.nextafter(0.4, 1.0), 0.5,
+               math.nextafter(0.6, 0.0), math.nextafter(0.9, 1.0), 2.0]
+    energies = inside + outside
+    expected = [0.0] * len(inside) + [-math.inf] * len(outside)
+    values = lumps.ln_amp_sq(np.array(energies))
+    assert values.shape == (len(energies),)
+    assert values.tolist() == expected
+    for e, want in zip(energies, expected):
+        got = lumps.ln_amp_sq(e)
+        assert type(got) is float and got == want
+        assert lumps.ln_amp_sq(np.array(e)) == want
     assert lumps.support() == [(0.1, 0.4), (0.6, 0.9)]
 
 
@@ -116,7 +128,11 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         Lumps.uniform([(0.8, 1.0), (0.0, 0.5)])  # out of order
     with pytest.raises(ValueError):
-        Lumps(((0.0, 0.5, Lumps.uniform([(0.0, 0.5)])),))  # nested
+        Lumps.uniform([(0.0, 0.5), (0.5, 1.0)])  # sharing an end
+    with pytest.raises(ValueError):
+        Lumps.uniform([(0.5, 0.5)])  # empty
+    with pytest.raises(ValueError):
+        Lumps.uniform([])
 
 
 def test_vectorized_matches_scalar():

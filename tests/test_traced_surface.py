@@ -1,14 +1,19 @@
-"""The library surface the benchmark's tracer patches by name.
+"""The library surface the benchmark reaches by name.
 
 ``perfbench/tracing.py`` wraps each density's and each profile's own
-log-function, and a few module-level entry points.  A deletion or rename
-there would break traced benchmark runs; these checks fail first.
+log-function, and a few module-level entry points; ``workloads.py`` and
+``run.py`` build their inputs through ``sd.<name>``.  A deletion or rename
+there would break benchmark runs; these checks fail first.
 """
 
 import importlib
+import re
+import types
+from pathlib import Path
 
 import pytest
 
+import sharpdist
 from sharpdist import CustomEntropy, IdealGas, IsingChain
 from sharpdist.profiles import AmplitudeProfile, profile_classes
 
@@ -41,3 +46,25 @@ def test_each_model_defines_its_own_ln_density(cls):
 ])
 def test_traced_entry_points_are_module_attributes(module, name):
     assert callable(getattr(importlib.import_module("sharpdist." + module), name))
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# every sd.<dotted name> of the benchmark files that import sharpdist as sd
+_SD_NAMES = sorted({name for script in ("workloads.py", "run.py", "tracing.py")
+                    for name in re.findall(r"\bsd\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)",
+                                           (_PERFBENCH / script).read_text(encoding="utf-8"))})
+
+
+def test_benchmark_files_name_the_library_through_sd():
+    assert {"Lumps.uniform", "DELTA_SCALINGS", "state_moments",
+            "SweepRecord", "cli.main"} <= set(_SD_NAMES)
+
+
+@pytest.mark.parametrize("dotted", _SD_NAMES)
+def test_every_name_the_benchmark_uses_resolves(dotted):
+    obj, path = sharpdist, "sharpdist"
+    for part in dotted.split("."):
+        path += "." + part
+        if isinstance(obj, types.ModuleType) and not hasattr(obj, part):
+            importlib.import_module(path)  # a submodule the package does not import
+        obj = getattr(obj, part)
