@@ -33,9 +33,9 @@ from .csvio import (config_comments, write_amplitude_csv, write_csv,
 from .distribution import (GridPolicy, build_distribution, lump_mass_fractions,
                            summarize)
 from .dos import IsingChain, ising_chain_spectrum
-from .errors import (ConvergenceError, DivergenceError, EmptyOverlapError,
-                     NoMaximumError)
+from .errors import ConvergenceError, DivergenceError, NoMaximumError
 from .oracle import compare_discrete_continuum, prepare_state
+from .profiles import AlgebraicCutoff, Lumps
 from .scaling import (algebraic_tail_builder, bounded_window_builder,
                       default_n_values, exponential_tail_builder,
                       failure_mode_demo, fit_power_law, sweep)
@@ -234,7 +234,6 @@ def run_oracle(cfg, out_dir: Path) -> list:
 
 
 def run_fig1(cfg, out_dir: Path) -> list:
-    from .profiles import AlgebraicCutoff, Lumps
     model = model_from_config(cfg)
     policy = _grid_policy(cfg)
     comments = _comments("fig1", cfg)
@@ -246,17 +245,21 @@ def run_fig1(cfg, out_dir: Path) -> list:
                               ln_scale=get_float(cfg, "bounded.ln_k"))
     lumps = Lumps.uniform(_parse_lump_intervals(get_str(cfg, "lumps.intervals")))
 
+    profiles = (("bounded", bounded), ("lumps", lumps))
+    # both builds, and the first export's check of the row budget, come before
+    # any file is written, so a config error leaves no partial output
+    dists = [build_distribution(model, profile, policy) for _, profile in profiles]
     files = []
-    for tag, profile in (("bounded", bounded), ("lumps", lumps)):
-        dist = build_distribution(model, profile, policy)
+    for (tag, profile), dist in zip(profiles, dists):
+        dist_file = write_distribution_csv(out_dir / ("fig1_%s_dist.csv" % tag),
+                                           dist, comments,
+                                           max_rows=get_int(cfg, "output.max_rows"))
         lo = min(s[0] for s in profile.support())
         hi = max(s[1] for s in profile.support())
         curve_grid = np.linspace(max(lo, model.domain()[0]), hi, n_curve)
         files.append(write_amplitude_csv(out_dir / ("fig1_%s_amp.csv" % tag),
                                          profile, curve_grid, comments))
-        files.append(write_distribution_csv(out_dir / ("fig1_%s_dist.csv" % tag),
-                                            dist, comments,
-                                            max_rows=get_int(cfg, "output.max_rows")))
+        files.append(dist_file)
         if tag == "lumps":
             fractions = lump_mass_fractions(dist)
             print("lump_fractions=%s" % ",".join(repr(f) for f in fractions))
@@ -321,7 +324,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DivergenceError, NoMaximumError, EmptyOverlapError) as exc:
+    except (DivergenceError, NoMaximumError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     except ConvergenceError as exc:

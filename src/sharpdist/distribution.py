@@ -8,9 +8,10 @@ One rule serves every integral: the trapezoid rule on each segment's
 uniform step h with Gregory end corrections of order 6, which add
 h*(-49/288, 77/240, -7/30, 73/720, -3/160) to the weights of the five
 points at each end (the two sets add where they overlap).  The rule is
-exact for polynomials up to degree 5 on any segment of at least 9 points,
-and it is behind the refinement test, the normalization, the moments and
-the segment masses alike.
+exact for polynomials up to degree 5 on any segment of at least 9 points.
+One function, ``_weights``, builds these weights times dE/dx, and every
+refinement level, the normalization, the moments and the segment masses
+take their integrals from it.
 
 Grid policy: each connected piece of (profile support intersected with the
 model domain) receives a window covering the region where the local
@@ -29,12 +30,12 @@ straddles a kink; the two sides of a join share the knot.
 Each segment's grid is uniform in its own ``Coordinate`` x: ``LOG`` (x =
 ln E) where 0 < lo and hi/lo > ``_GEOMETRIC_SPAN``, else ``LINEAR`` (x =
 E).  The segment's exact ends map to x, and every quadrature integrates
-the weight times dE/dx over x.  All segments are refined together, halving
-the step until the log normalization moves by less than ``refine_tol``
-between levels; a build that reaches ``max_points`` per segment without
-that raises ConvergenceError.  Keeping a window per piece (rather than one
-global window) is what lets mass ratios as small as 1e-40 between
-separated lumps come out right.
+the weight over x, with each point's weight times dE/dx.  All segments are
+refined together, halving the step until the log normalization moves by
+less than ``refine_tol`` between levels; a build that reaches
+``max_points`` per segment without that raises ConvergenceError.  Keeping
+a window per piece (rather than one global window) is what lets mass
+ratios as small as 1e-40 between separated lumps come out right.
 """
 
 from __future__ import annotations
@@ -113,26 +114,22 @@ DEFAULT_POLICY = GridPolicy()
 class Coordinate:
     """The variable x in which a segment's grid is uniform; LINEAR or LOG, pickled by name.
 
-    ``to_x`` maps a segment end to x and ``to_e`` grid points x back to E.
-    dE/dx comes in two forms, equal to rounding: ``ln_jacobian(x)``, added
-    to the build's log-weights, and ``jacobian(E)``, which multiplies point
-    weights.
+    ``to_x`` maps a segment end to x, ``to_e`` grid points x back to E, and
+    ``jacobian(E)`` is dE/dx at the points E, which multiplies their
+    quadrature weights in x.
     """
 
     name: str
     to_x: Callable = field(repr=False)
     to_e: Callable = field(repr=False)
-    ln_jacobian: Callable = field(repr=False)
     jacobian: Callable = field(repr=False)
 
     def __reduce__(self):
         return self.name
 
 
-LINEAR = Coordinate("LINEAR", to_x=lambda e: e, to_e=lambda x: x,
-                    ln_jacobian=lambda x: 0.0, jacobian=lambda e: 1.0)
-LOG = Coordinate("LOG", to_x=math.log, to_e=np.exp,
-                 ln_jacobian=lambda x: x, jacobian=lambda e: e)
+LINEAR = Coordinate("LINEAR", to_x=lambda e: e, to_e=lambda x: x, jacobian=lambda e: 1.0)
+LOG = Coordinate("LOG", to_x=math.log, to_e=np.exp, jacobian=lambda e: e)
 
 
 @dataclass(frozen=True)
@@ -182,12 +179,8 @@ class EnergyDistribution:
         """exp(ln_w) times each point's quadrature weight in x and dE/dx."""
         p = np.exp(self.ln_w)
         for seg in self.segments:
-            weights = np.full(seg.stop - seg.start, seg.step)
-            weights[[0, -1]] *= 0.5
-            weights[:5] += seg.step * _GREGORY
-            weights[:-6:-1] += seg.step * _GREGORY
-            weights *= seg.coordinate.jacobian(self.grid[seg.start:seg.stop])
-            p[seg.start:seg.stop] *= weights
+            p[seg.start:seg.stop] *= _weights(seg.coordinate, self.grid[seg.start:seg.stop],
+                                              seg.step)
         p.setflags(write=False)
         return p
 
@@ -431,7 +424,7 @@ def _split_at_knots(window, knots):
 
 
 def _segment_points(lo, hi, coordinate, n):
-    """(x, E, step): n points from lo to hi, uniform in ``coordinate``.
+    """(E, step): n points from lo to hi, uniform in ``coordinate`` at spacing step.
 
     The ends are exactly lo and hi.  Halving the step is exact, so the points
     of n and of 2(n - 1) + 1 coincide bitwise at even indices.
@@ -442,58 +435,58 @@ def _segment_points(lo, hi, coordinate, n):
     x[-1] = x1
     energies = coordinate.to_e(x)
     energies[0], energies[-1] = lo, hi
-    return x, energies, step
+    return energies, step
 
 
-def _segment_log_trapezoid(values, step):
-    """ln of the uniform-step trapezoid integral of exp(values)."""
+def _weights(coordinate, energies, step):
+    """Quadrature weights of the points ``energies``, uniform in ``coordinate`` at ``step``.
+
+    The trapezoid weights in x with the _GREGORY end corrections, times
+    dE/dx at each point: the one rule behind every integral of a build.
+    """
+    weights = np.full(energies.size, step)
+    weights[[0, -1]] *= 0.5
+    weights[:5] += step * _GREGORY
+    weights[:-6:-1] += step * _GREGORY
+    weights *= coordinate.jacobian(energies)
+    return weights
+
+
+def _ln_integral(values, weights):
+    """ln of the sum of exp(values) times ``weights``, scaled by the largest value.
+
+    The products are summed pairwise (ndarray.sum), whose rounding grows
+    like log n; the running sums of a BLAS dot product grow like n and move
+    ln Z by several ulps on segments of 2**18 points.
+    """
     m = float(np.max(values))
     if not math.isfinite(m):
         return -math.inf
-    ex = np.exp(values - m)
-    # at least 1/2, as one of the terms is exp(0) and at most half of it drops
-    s = float(ex.sum()) - 0.5 * (float(ex[0]) + float(ex[-1]))
-    return m + math.log(s) + math.log(step)
-
-
-def _with_end_corrections(ln_trapezoid, values, step):
-    """ln of the corrected integral of exp(values), from the log of its trapezoid sum.
-
-    Only the first and last five ``values`` are read.  Every corrected weight
-    is at least 95/144 of the trapezoid weight at its point, so the argument
-    of log1p stays above -49/144.
-    """
-    if ln_trapezoid == -math.inf:
-        return ln_trapezoid
-    shift = math.log(step) - ln_trapezoid
-    ratio = float(_GREGORY @ np.exp(values[:5] + shift)
-                  + _GREGORY @ np.exp(values[:-6:-1] + shift))
-    return ln_trapezoid + math.log1p(ratio)
+    ex = values - m
+    np.exp(ex, out=ex)
+    ex *= weights
+    return m + math.log(float(ex.sum()))
 
 
 def _segment_levels(lnh, seg, n):
-    """Yield (log-weights, ln corrected integral) of ``seg`` at n, 2n - 1, 4n - 3, ... points.
+    """Yield (log-weights, ln integral) of ``seg`` at n, 2n - 1, 4n - 3, ... points.
 
-    The integrand in x is the weight times dE/dx.  A level after the first
-    evaluates lnh only at its new midpoints x0 + h*(1, 3, 5, ...), as the
-    even-index points are the previous level's, bitwise; in logs, its
-    trapezoid sum is T(h/2) = T(h)/2 + (h/2) * (sum over the midpoints).
+    Each level's integral is exp(log-weights) against that level's
+    ``_weights``.  A level after the first evaluates lnh only at its new
+    midpoints x0 + h*(1, 3, 5, ...), as the even-index points are the
+    previous level's, bitwise.
     """
-    x, energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
+    energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
     values = _probe(lnh, energies)
-    f = values + seg.coordinate.ln_jacobian(x)
-    ln_trap = _segment_log_trapezoid(f, h)
     while True:
-        ln_int = _with_end_corrections(ln_trap, f, h)
-        del x, energies, f  # only the log-weights stay alive between levels
+        ln_int = _ln_integral(values, _weights(seg.coordinate, energies, h))
+        del energies  # only the log-weights stay alive between levels
         yield values, ln_int
         n = 2 * (n - 1) + 1
-        x, energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
+        energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
         finer = np.empty(n)
-        finer[::2], finer[1::2] = values, _probe(lnh, seg.coordinate.to_e(x[1::2]))
+        finer[::2], finer[1::2] = values, _probe(lnh, energies[1::2])
         values = finer
-        f = values + seg.coordinate.ln_jacobian(x)
-        ln_trap = float(np.logaddexp(ln_trap - LN2, math.log(h) + log_sum_exp(f[1::2])))
 
 
 def _check_increasing(grid, segments):
@@ -550,7 +543,7 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     del levels, state  # frees one grid's worth of memory before the grid is built
     grids, segments = [], []
     for k, w in enumerate(windows):
-        _, g, h = _segment_points(w.lo, w.hi, w.coordinate, n)
+        g, h = _segment_points(w.lo, w.hi, w.coordinate, n)
         grids.append(g)
         segments.append(replace(w, start=k * n, stop=(k + 1) * n, step=h))
     grid = np.concatenate(grids)
@@ -704,7 +697,7 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
         lw = dist.ln_w[seg.start:seg.stop]
         n = g.size
         if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - mass) > dist.policy.refine_tol:
-            _, g, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n_fine)
+            g, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n_fine)
             lw = _probe(lnh, g) - dist.ln_norm
         else:
             stride = max(1, -(-(n - 1) // (budget - 1)))  # ceil division

@@ -4,7 +4,9 @@ A sweep builds one distribution per particle number N, records the ratio
 width/mean, and an ordinary least-squares line through (ln N, ln ratio)
 gives the scaling exponent: ratio ~ N**(-kappa_fit).  Builders encode how
 the profile parameters scale with N; presets cover the fixed bounded
-window and the three tail energy-scale conventions.
+window, the stretched-exponential tail under its three energy-scale
+conventions, and the algebraic tail (E / e_ref)**-eta at fixed eta
+(``algebraic_tail_builder``, the CLI preset ``tail-algebraic``).
 """
 
 from __future__ import annotations
@@ -152,9 +154,7 @@ def failure_mode_demo(model, eta: float, e_ref: float = 1.0, threshold: float = 
     ``model`` runs under the power-law amplitude tail (E / e_ref)**-eta.  A
     tail that leaves the weight non-normalizable is "divergent"; otherwise
     the ratio width/mean is compared against ``threshold`` ("broad" or
-    "sharp").  A stretched-exponential tail without a saddle point (kappa
-    = 1/2 against a square-root entropy) fails differently: NoMaximumError
-    from ``tail_profile_prediction`` and DivergenceError from the build.
+    "sharp").
     """
     try:
         dist = build_distribution(model, AlgebraicTail(decay=eta, e_ref=e_ref), policy)

@@ -123,6 +123,26 @@ def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, caps
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1"],
+                         ids=["negative-max-rows", "lumps-outside-domain"])
+def test_fig1_config_error_leaves_no_partial_output(tmp_path, capsys, setting):
+    """Both builds and the row-budget check come before fig1 writes any file."""
+    out = tmp_path / "out"
+    assert main(["fig1", "--out", str(out), "--set", setting]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(out.iterdir()) == []
+
+
+def test_dist_support_outside_the_domain_is_a_config_error(tmp_path, capsys):
+    """EmptyOverlapError is a ValueError: exit 2, named on stderr, no file written."""
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out),
+                 "--set", "profile.e_min=-2", "--set", "profile.e_max=-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "does not intersect" in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["dist", "--set", "profile.variant=lumps", "--set", "profile.lumps=0.0:0.5:0.7"],
     ["fig1", "--set", "lumps.intervals=0.0:0.5:0.7"],

@@ -208,7 +208,7 @@ def test_tail_prediction_rejects_other_profiles():
         tail_profile_prediction(IdealGas(100), UniformWindow(0.0, 1.0))
 
 
-def test_microcanonical_entropy_values():
+def test_ln_density_values_are_log_state_counts():
     """The entropy at an energy, as summarize reports it: ln of the state count there."""
     gas = IdealGas(100)
     assert float(gas.ln_density(151.0)) == pytest.approx(150.0 * math.log(151.0), rel=1e-12)
@@ -260,13 +260,13 @@ def test_segment_and_point_masses_share_one_trapezoid_rule(lo, widths, n_particl
 
 
 def test_segment_and_point_masses_agree_on_ln_e_segments():
-    """On ln E segments the two Jacobian forms give the same mass.
+    """On ln E segments the build's ln Z and the point masses agree.
 
-    The build's ln Z adds ln E to the log-weights and the point masses
-    multiply by E; the segment masses, sums of point masses, integrate to 1
-    against that ln Z on a fixed, coarse grid.  Broad algebraic tails decay
-    = 3N/2 + 2.5 .. 10 reach past hi/lo = 1e6 beyond their knot for the
-    slower decays, so some draws have an ln E segment.
+    Both take their weights from one function, which multiplies the weights
+    in ln E by the Jacobian E; the segment masses, sums of point masses,
+    integrate to 1 against that ln Z on a fixed, coarse grid.  Broad
+    algebraic tails decay = 3N/2 + 2.5 .. 10 reach past hi/lo = 1e6 beyond
+    their knot for the slower decays, so some draws have an ln E segment.
     """
     coordinates = set()
 
