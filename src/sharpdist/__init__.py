@@ -10,12 +10,12 @@ against exact discrete spectra.
 __version__ = "0.1.0"
 
 from .configio import model_from_config, parse_kv_text, profile_from_config
-from .distribution import (DEFAULT_POLICY, BoundedPrediction,
-                           DistributionSummary, EnergyDistribution,
-                           GridPolicy, PeakResult, TailPrediction,
-                           bounded_profile_prediction, build_distribution,
-                           lump_mass_fractions, moments, peak,
-                           refine_once, summarize, tail_profile_prediction)
+from .distribution import (DEFAULT_POLICY, DistributionSummary,
+                           EnergyDistribution, GridPolicy, PeakResult,
+                           Prediction, bounded_profile_prediction,
+                           build_distribution, lump_mass_fractions, moments,
+                           peak, refine_once, summarize,
+                           tail_profile_prediction)
 from .dos import (CustomEntropy, DiscreteSpectrum, IdealGas, IsingChain,
                   ising_chain_spectrum)
 from .errors import (ConvergenceError, DivergenceError, DomainError,

@@ -238,6 +238,8 @@ def run_fig1(cfg, out_dir: Path) -> list:
     policy = _grid_policy(cfg)
     comments = _comments("fig1", cfg)
     n_curve = get_int(cfg, "curve_points")
+    if n_curve < 2:
+        raise ValueError("curve_points must be at least 2, got %d" % n_curve)
 
     bounded = AlgebraicCutoff(e0=get_float(cfg, "bounded.e0"),
                               e_max=get_float(cfg, "bounded.e_max"),

@@ -43,7 +43,10 @@ def get_float(cfg: Mapping, key: str, default=None) -> float:
 
 
 def _integral(key: str, raw) -> int:
-    value = float(raw)
+    text = str(raw).strip()
+    if text.lstrip("+-").isdigit():   # exact beyond 2**53, where a float is not
+        return int(text)
+    value = float(text)
     if not value.is_integer():
         raise ValueError("config key %r must be an integer, got %r" % (key, raw))
     return int(value)

@@ -49,8 +49,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      EmptyOverlapError, NoMaximumError)
-from .numerics import (LN2, bracket_root_geometric, compensated_sum,
-                       log_sum_exp, newton_bisect_root)
+from .numerics import LN2, compensated_sum, log_sum_exp, newton_bisect_root
 from .profiles import ExponentialTail, Lumps
 
 # each piece's window keeps the region within this many nats of its peak
@@ -194,20 +193,12 @@ class EnergyDistribution:
 
 
 @dataclass(frozen=True)
-class BoundedPrediction:
-    """Edge-peak asymptotics for profiles with a finite upper support edge."""
-
-    eps: float    # the log-weight's decay length at the edge, 1 / s'(e_edge)
-    mean: float   # e_edge - (m + 1) eps, m the profile's edge order
-    width: float  # sqrt(m + 1) eps
-
-
-@dataclass(frozen=True)
-class TailPrediction:
-    """Saddle-point location and curvature width for stretched-exponential tails."""
+class Prediction:
+    """Leading-order mean and width of W(E), from an edge or a saddle point."""
 
     mean: float
     width: float
+    eps: float | None = None  # an edge's decay length 1 / s'(e_edge); None for a saddle
 
 
 @dataclass(frozen=True)
@@ -574,7 +565,7 @@ def peak(dist: EnergyDistribution) -> PeakResult:
     return dist.peak
 
 
-def bounded_profile_prediction(model, profile) -> BoundedPrediction:
+def bounded_profile_prediction(model, profile) -> Prediction:
     """Edge-peak prediction for a profile bounded above at e_edge.
 
     Near the edge |a|^2 ~ (e_edge - E)**m, m the profile's ``edge_order``,
@@ -584,23 +575,27 @@ def bounded_profile_prediction(model, profile) -> BoundedPrediction:
     (m + 1) eps below the edge and the width is sqrt(m + 1) eps.
     """
     e_edge = profile.upper_edge()
+    lo, hi = model.domain()
+    if not lo < e_edge < hi:
+        raise DomainError("support edge %g is not inside the model domain" % e_edge)
     shape = profile.edge_order + 1
-    n = model.n_particles
-    _, d1, _ = model.entropy_derivatives(e_edge / n)
+    d1, _ = model.entropy_slopes(e_edge / model.n_particles)
     if d1 <= 0.0:
         raise DomainError("model is not at positive temperature at the support edge")
     eps = 1.0 / d1
-    return BoundedPrediction(eps=eps, mean=e_edge - shape * eps, width=math.sqrt(shape) * eps)
+    return Prediction(mean=e_edge - shape * eps, width=math.sqrt(shape) * eps, eps=eps)
 
 
-def tail_profile_prediction(model, profile: ExponentialTail) -> TailPrediction:
+def tail_profile_prediction(model, profile: ExponentialTail) -> Prediction:
     """Saddle-point mean and curvature width for a stretched-exponential tail.
 
-    The mean solves s'(E/N) = kappa E^(kappa-1) / delta^kappa on a bracket
-    grown geometrically from delta (safeguarded Newton inside).  The width
-    is the inverse square root of minus the curvature of the log-weight at
-    that point.  kappa >= 1 guarantees a solution; shallower tails may
-    raise NoMaximumError.
+    The mean solves g(E) = s'(E/N) - kappa E^(kappa-1) / delta^kappa = 0.
+    One vector call of g on delta * 2**j, j = -200..200, inside the model
+    domain, brackets it in the lowest cell where g falls from above 0 to 0
+    or below, and safeguarded Newton solves inside.  The width is the
+    inverse square root of minus the curvature of the log-weight at that
+    point.  kappa >= 1 guarantees a solution; shallower tails may raise
+    NoMaximumError.
     """
     if not isinstance(profile, ExponentialTail):
         raise ValueError("tail prediction requires an exponential-tail profile")
@@ -609,18 +604,25 @@ def tail_profile_prediction(model, profile: ExponentialTail) -> TailPrediction:
     dk = profile.delta ** kap
 
     def g(energy):
-        return model.entropy_derivatives(energy / n)[1] - kap * energy ** (kap - 1.0) / dk
+        return model.entropy_slopes(energy / n)[0] - kap * energy ** (kap - 1.0) / dk
 
     def dg(energy):
-        d2 = model.entropy_derivatives(energy / n)[2]
+        d2 = model.entropy_slopes(energy / n)[1]
         return d2 / n - kap * (kap - 1.0) * energy ** (kap - 2.0) / dk
 
-    lo, hi = bracket_root_geometric(g, profile.delta)
-    mean = lo if lo == hi else newton_bisect_root(g, dg, lo, hi)
+    lo, hi = model.domain()
+    x = np.ldexp(profile.delta, np.arange(-200, 201))
+    x = x[(lo < x) & (x < hi)]
+    with np.errstate(all="ignore"):
+        gx = g(x)
+    falls = np.flatnonzero((gx[:-1] > 0.0) & (gx[1:] <= 0.0))
+    if falls.size == 0:
+        raise NoMaximumError("no sign change within 200 doublings of delta = %g" % profile.delta)
+    mean = newton_bisect_root(g, dg, x[falls[0]], x[falls[0] + 1])
     curvature = dg(mean)
     if not curvature < 0.0:
         raise NoMaximumError("stationary point at E = %g is not a peak" % mean)
-    return TailPrediction(mean=mean, width=1.0 / math.sqrt(-curvature))
+    return Prediction(mean=mean, width=1.0 / math.sqrt(-curvature))
 
 
 def lump_mass_fractions(dist: EnergyDistribution):
@@ -645,29 +647,23 @@ def summarize(dist: EnergyDistribution) -> DistributionSummary:
     """
     mean, width = moments(dist)
     pk = peak(dist)
-    eps_pred = mean_pred = width_pred = None
-    profile = dist.profile
-    if profile.bounded_above():
-        try:
-            bp = bounded_profile_prediction(dist.model, profile)
-            eps_pred, mean_pred, width_pred = bp.eps, bp.mean, bp.width
-        except DomainError:
-            pass
-    elif isinstance(profile, ExponentialTail):
-        try:
-            tp = tail_profile_prediction(dist.model, profile)
-            mean_pred, width_pred = tp.mean, tp.width
-        except NoMaximumError:
-            pass
+    pred = Prediction(mean=None, width=None)
+    try:
+        if dist.profile.bounded_above():
+            pred = bounded_profile_prediction(dist.model, dist.profile)
+        elif isinstance(dist.profile, ExponentialTail):
+            pred = tail_profile_prediction(dist.model, dist.profile)
+    except (DomainError, NoMaximumError):
+        pass
     return DistributionSummary(
         mean=mean,
         width=width,
         ratio=width / mean,
         peak_energy=pk.energy,
         peak_at_boundary=pk.at_boundary,
-        eps_pred=eps_pred,
-        mean_pred=mean_pred,
-        width_pred=width_pred,
+        eps_pred=pred.eps,
+        mean_pred=pred.mean,
+        width_pred=pred.width,
         entropy_at_mean=float(dist.model.ln_density(mean)),
     )
 

@@ -6,9 +6,10 @@ normalization), so every normalized quantity downstream is unaffected by
 the prefactor choices made here.
 
 Models expose three things: ``ln_density(E)`` for the total system,
-``entropy_derivatives(e)`` per particle (s, ds/de, d2s/de2), and a
-``domain()`` interval outside which ``ln_density`` is -inf.  The two views
-are tied together by ln_density(E) = N * s(E/N) + const.
+``entropy_slopes(e)`` per particle (ds/de, d2s/de2), and a ``domain()``
+interval outside which ``ln_density`` is -inf.  The two views are tied
+together by ln_density(E) = N * s(E/N) + const.  Both take a float or an
+array and give floats for a float; the slopes do not check the domain.
 
 ``scipy.special`` supplies log-gamma and its derivatives for the spin
 chain only; it is imported where the chain uses it, so ``import sharpdist``
@@ -23,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import LN2, _finish, _on_half_line
+from .numerics import LN2, _finish, _float_or_array, _on_half_line
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,9 @@ class IdealGas:
                              lambda e: self.growth_exponent * np.log(e) + self.ln_prefactor,
                              1.0)
 
-    def entropy_derivatives(self, e: float):
-        e = float(e)
-        if e <= 0.0:
-            raise DomainError("energy per particle must be positive")
-        n = self.n_particles
-        s = (self.growth_exponent * math.log(n * e) + self.ln_prefactor) / n
-        return s, 1.5 / e, -1.5 / (e * e)
+    def entropy_slopes(self, e):
+        e = _float_or_array(e)
+        return 1.5 / e, -1.5 / (e * e)
 
 
 @dataclass(frozen=True)
@@ -145,35 +141,33 @@ class IsingChain:
         out = np.where(inside, vals, -np.inf)
         return _finish(e_arr, out)
 
-    def entropy_derivatives(self, e: float):
+    def entropy_slopes(self, e):
         from scipy.special import polygamma, psi
-        e = float(e)
-        energy = self.n_particles * e
-        if not self.band_bottom <= energy <= 0.0:
-            raise DomainError("energy outside the positive-temperature band")
+        e_arr = np.asarray(e, dtype=float)
         n = self.n_particles
-        k = self._bond_index(np.asarray(energy, dtype=float))
+        k = self._bond_index(n * e_arr)
         two_j = 2.0 * self.coupling
-        s = float(self.ln_density(energy)) / n
         d_ln_g = (psi(n - k) - psi(k + 1.0)) / two_j
         d2_ln_g = -(polygamma(1, n - k) + polygamma(1, k + 1.0)) / (two_j * two_j)
-        return s, float(d_ln_g), n * float(d2_ln_g)
+        return _finish(e_arr, d_ln_g), _finish(e_arr, n * d2_ln_g)
 
 
 @dataclass(frozen=True)
 class CustomEntropy:
     """User-supplied entropy per particle s(e) with its first two derivatives.
 
-    ``entropy`` must accept numpy arrays: ``ln_density`` calls it once on
-    the array of per-particle energies (a scalar result broadcasts), and a
-    callable that rejects arrays raises its own error.  The derivatives are
-    called on floats.  The domain is given per particle.
+    All three must accept numpy arrays: ``ln_density`` calls ``entropy``
+    once on the array of per-particle energies (a scalar result
+    broadcasts), and a callable that rejects arrays raises its own error.
+    ``entropy_slopes`` calls the derivatives on a Python float for a
+    float, and on the whole array for an array.  The domain is given per
+    particle.
     """
 
     n_particles: int
     entropy: Callable[[np.ndarray], np.ndarray]
-    entropy_d1: Callable[[float], float]
-    entropy_d2: Callable[[float], float]
+    entropy_d1: Callable[[np.ndarray], np.ndarray]
+    entropy_d2: Callable[[np.ndarray], np.ndarray]
     domain_per_particle: tuple = (0.0, math.inf)
     ln_prefactor: float = 0.0
 
@@ -197,9 +191,6 @@ class CustomEntropy:
         out = np.where(inside, vals, -np.inf)
         return _finish(e_arr, out)
 
-    def entropy_derivatives(self, e: float):
-        e = float(e)
-        lo, hi = self.domain_per_particle
-        if not lo < e < hi:
-            raise DomainError("energy per particle outside the model domain")
-        return float(self.entropy(e)), float(self.entropy_d1(e)), float(self.entropy_d2(e))
+    def entropy_slopes(self, e):
+        e = _float_or_array(e)
+        return _float_or_array(self.entropy_d1(e)), _float_or_array(self.entropy_d2(e))

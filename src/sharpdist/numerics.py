@@ -1,25 +1,21 @@
 """Log-domain arithmetic, accurate summation and scalar root finding.
 
 Everything here is elementary numerics: stable log-space differences,
-the log-sum-exp, accurate summation, and the bracketing and safeguarded
-Newton root finding of the saddle-point solve.  No physics enters this
-module.  The window search's maximum and crossing searches evaluate the
-log-weight on many points at once and live in ``distribution``.
+the log-sum-exp, accurate summation, and the safeguarded Newton root
+finding of the saddle-point solve, inside a bracket its caller found.
+No physics enters this module.  The searches that evaluate a function on
+many points at once (the window search's maximum and crossings, and the
+saddle-point bracket) live in ``distribution``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import NoMaximumError
-
 LN2 = math.log(2.0)
 
-# doublings (and halvings) of the geometric bracket search
-_MAX_DOUBLINGS = 200
 # the Newton solve stops at this relative step, or after _MAX_NEWTON_ITER steps
 _NEWTON_REL_TOL = 1e-13
 _MAX_NEWTON_ITER = 200
@@ -28,6 +24,14 @@ _MAX_NEWTON_ITER = 200
 def _finish(e_arr, out):
     """Return ``out`` as a float when the energy array ``e_arr`` is 0-d."""
     return float(out) if e_arr.ndim == 0 else out
+
+
+def _float_or_array(value):
+    """``value`` as a Python float when it is a number or 0-d, else as a float array."""
+    if isinstance(value, float):   # a Newton step's energy: skip numpy's overhead
+        return float(value)
+    arr = np.asarray(value, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _on_half_line(e_arr, closed, formula, fill):
@@ -91,41 +95,6 @@ def compensated_sum(values) -> float:
         return math.fsum(arr)
     partials = np.add.reduceat(arr, np.arange(0, arr.size, 4096))
     return math.fsum(partials)
-
-
-def bracket_root_geometric(g: Callable[[float], float], scale: float):
-    """Search for a sign change of g on a geometric grid anchored at ``scale``.
-
-    Scans scale * 2**j upward and then scale / 2**j downward.  Returns a
-    bracketing pair (lo, hi); raises NoMaximumError if no sign change is
-    found within _MAX_DOUBLINGS steps in either direction.
-    """
-    if scale <= 0.0:
-        raise ValueError("bracket scale must be positive")
-
-    def scan(factor):
-        x_prev = scale
-        g_prev = g(x_prev)
-        if g_prev == 0.0:
-            return x_prev, x_prev
-        x = scale
-        for _ in range(_MAX_DOUBLINGS):
-            x *= factor
-            gx = g(x)
-            if gx == 0.0:
-                return x, x
-            if (gx < 0.0) != (g_prev < 0.0):
-                return (min(x_prev, x), max(x_prev, x))
-            x_prev, g_prev = x, gx
-        return None
-
-    for factor in (2.0, 0.5):
-        found = scan(factor)
-        if found is not None:
-            return found
-    raise NoMaximumError(
-        "no sign change within %d doublings of the bracket grown from %g"
-        % (_MAX_DOUBLINGS, scale))
 
 
 def newton_bisect_root(g, dg, lo: float, hi: float) -> float:

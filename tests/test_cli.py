@@ -123,10 +123,12 @@ def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, caps
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1"],
-                         ids=["negative-max-rows", "lumps-outside-domain"])
+@pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1",
+                                     "curve_points=-1", "curve_points=0"],
+                         ids=["negative-max-rows", "lumps-outside-domain",
+                              "negative-curve-points", "zero-curve-points"])
 def test_fig1_config_error_leaves_no_partial_output(tmp_path, capsys, setting):
-    """Both builds and the row-budget check come before fig1 writes any file."""
+    """Both builds, the row-budget check and the curve size come before fig1 writes any file."""
     out = tmp_path / "out"
     assert main(["fig1", "--out", str(out), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -366,6 +368,22 @@ def test_failure_demo_divergent(tmp_path):
                  "--set", "demo.eta=151.0"]) == 0
     _, header, rows = read_rows(tmp_path / "failure_report.csv")
     assert dict(zip(header, rows[0]))["outcome"] == "divergent"
+
+
+def test_dist_tail_prediction_below_delta_in_a_bounded_domain(tmp_path):
+    """The saddle-point bracket is searched inside the domain, on both sides of delta.
+
+    Here the saddle (E = 0.93) lies below delta = 1, and delta * 2**5 lies
+    past the domain.
+    """
+    assert main(["dist", "--out", str(tmp_path),
+                 "--set", "model.kind=custom-entropy", "--set", "model.form=log",
+                 "--set", "model.coeff=1.5", "--set", "model.n=2",
+                 "--set", "model.domain_hi=10", "--set", "profile.variant=exponential-tail",
+                 "--set", "profile.delta=1.0", "--set", "profile.kappa=4.0"]) == 0
+    _, header, rows = read_rows(tmp_path / "summary.csv")
+    summary = dict(zip(header, map(float, rows[0])))
+    assert summary["E_mean_pred"] == pytest.approx(summary["E_peak"], rel=1e-6)
 
 
 def test_dist_sub_unit_kappa_tail_diverges(tmp_path, capsys):

@@ -51,8 +51,8 @@ def test_model_from_config_custom_power():
     model = model_from_config({"model.kind": "custom-entropy", "model.n": "10",
                                "model.form": "power", "model.coeff": "2.0",
                                "model.exponent": "0.5"})
-    s, d1, d2 = model.entropy_derivatives(4.0)
-    assert s == pytest.approx(4.0)
+    d1, d2 = model.entropy_slopes(4.0)
+    assert model.ln_density(40.0) / 10 == pytest.approx(4.0)
     assert d1 == pytest.approx(0.5)
     assert d2 == pytest.approx(-0.0625)
 
@@ -128,6 +128,15 @@ def test_integer_keys_reject_non_integral_values():
     assert get_int_list(cfg, "e") == [100, 200]
     with pytest.raises(ValueError, match="model.n"):
         model_from_config({"model.kind": "ideal-gas", "model.n": "100.5"})
+
+
+def test_integer_keys_beyond_two_to_the_53_are_exact():
+    """An integer literal is parsed as an int; a float would round 2**53 + 1 down."""
+    cfg = {"k": "9007199254740993", "l": "9007199254740993,-9007199254740995"}
+    assert get_int(cfg, "k") == 2 ** 53 + 1
+    assert get_int_list(cfg, "l") == [2 ** 53 + 1, -(2 ** 53 + 3)]
+    assert model_from_config({"model.kind": "ideal-gas",
+                              "model.n": "9007199254740993"}).n_particles == 2 ** 53 + 1
 
 
 @pytest.mark.parametrize("cfg", [

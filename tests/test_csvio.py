@@ -66,6 +66,15 @@ def test_file_text_follows_the_per_cell_rules(tmp_path_factory, rows, block, com
     assert not path.with_name("out.csv.tmp").exists()
 
 
+@pytest.mark.parametrize("value, cell", [
+    (np.float64(0.1), "0.1"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+    (np.int64(-7), "-7"), (np.float64(math.nan), "nan"),
+], ids=["float64", "bool-true", "bool-false", "int64", "float64-nan"])
+def test_numpy_scalars_are_written_as_their_python_values(value, cell):
+    """A numpy scalar cell follows the rule of its Python value, not its repr or str."""
+    assert csvio.format_value(value) == cell == reference_cell(value.item())
+
+
 BLOCK = csvio.BLOCK_ROWS
 
 

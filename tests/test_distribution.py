@@ -11,8 +11,9 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        EmptyOverlapError, ExponentialCutoff, ExponentialTail,
                        GridPolicy, IdealGas, IsingChain, Lumps, UniformWindow,
                        bounded_profile_prediction, build_distribution,
-                       failure_mode_demo, lump_mass_fractions, moments,
-                       peak, refine_once, summarize, tail_profile_prediction)
+                       failure_mode_demo, lump_mass_fractions, model_from_config,
+                       moments, peak, refine_once, summarize,
+                       tail_profile_prediction)
 from sharpdist.distribution import (_PEAK_REL_TOL, _WINDOW_NATS, LINEAR, LOG,
                                     _component_window, _grow_right_edge, _log_weight,
                                     _section_crossing, _section_max, export_curve)
@@ -575,6 +576,16 @@ def test_summary_fields():
     assert tail_summary.eps_pred is None
     assert tail_summary.mean_pred == pytest.approx(150.0, rel=1e-10)
     assert tail_summary.width_pred == pytest.approx(math.sqrt(150.0), rel=1e-10)
+
+
+def test_summary_predicts_a_saddle_below_delta_in_a_bounded_domain():
+    """delta = 1 lies above the saddle (E = 0.93), and delta * 2**5 lies past the domain."""
+    model = model_from_config({"model.kind": "custom-entropy", "model.n": "2",
+                               "model.form": "log", "model.coeff": "1.5",
+                               "model.domain_hi": "10"})
+    summary = summarize(build_checked(model, ExponentialTail(delta=1.0, kappa=4.0)))
+    assert summary.mean_pred == pytest.approx(summary.peak_energy, rel=1e-6)
+    assert summary.eps_pred is None and summary.width_pred > 0.0
 
 
 def test_ising_window_distribution():

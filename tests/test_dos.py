@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError,
-                       ExponentialTail, IdealGas, IsingChain, build_distribution,
-                       ising_chain_spectrum)
+                       ExponentialTail, IdealGas, IsingChain, UniformWindow,
+                       bounded_profile_prediction, build_distribution,
+                       ising_chain_spectrum, model_from_config)
 from sharpdist.numerics import log_sum_exp
 
 from oracles import (assert_bitwise_as_masked, enumerate_open_chain,
@@ -50,8 +51,11 @@ def test_custom_entropy_is_called_on_arrays():
     """ln_density calls the entropy once, on the array of per-particle energies.
 
     An entropy built on ``math`` rejects the array, and the build raises
-    that error.
+    that error.  Both derivatives are required: there is no numerical
+    fallback.
     """
+    with pytest.raises(TypeError):
+        CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5)
     with pytest.raises(TypeError, match="scalar"):
         build_distribution(CustomEntropy(100, entropy=lambda e: 2.0 * math.sqrt(e),
                                          entropy_d1=lambda e: 1.0 / math.sqrt(e),
@@ -61,21 +65,68 @@ def test_custom_entropy_is_called_on_arrays():
 
 def test_ideal_gas_entropy_derivatives():
     gas = IdealGas(100)
-    s, d1, d2 = gas.entropy_derivatives(3.0)
+    d1, _ = gas.entropy_slopes(3.0)
     assert d1 == pytest.approx(0.5)
     assert 1.0 / d1 == pytest.approx(2.0)  # temperature
-    _, _, d2 = gas.entropy_derivatives(1.0)
+    _, d2 = gas.entropy_slopes(1.0)
     assert d2 == pytest.approx(-1.5)
+    # the slopes do no domain check of their own; the prediction that reads
+    # them rejects an edge at e = 0, outside the open domain (0, inf)
     with pytest.raises(DomainError):
-        gas.entropy_derivatives(0.0)
+        bounded_profile_prediction(gas, UniformWindow(-1.0, 0.0))
 
 
 @pytest.mark.parametrize("ln_prefactor", [0.0, -2.5])
 def test_ideal_gas_entropy_matches_ln_density(ln_prefactor):
+    """The slopes are the derivatives of s(e) = ln_density(N e) / N, whatever the prefactor."""
     gas = IdealGas(100, ln_prefactor=ln_prefactor)
     for e in (1e-3, 0.7, 3.0, 1e4):
-        s, _, _ = gas.entropy_derivatives(e)
-        assert s == pytest.approx(gas.ln_density(100 * e) / 100, rel=1e-15, abs=1e-15)
+        d1, d2 = gas.entropy_slopes(e)
+        h = 1e-3 * e
+        s_minus, s_mid, s_plus = gas.ln_density(100 * np.array([e - h, e, e + h])) / 100
+        assert d1 == pytest.approx((s_plus - s_minus) / (2.0 * h), rel=1e-6)
+        assert d2 == pytest.approx((s_plus - 2.0 * s_mid + s_minus) / (h * h), rel=1e-5)
+
+
+# (model, a per-particle energy interval inside its domain) for the slope property
+SLOPE_MODELS = {
+    "ideal-gas": (IdealGas(100, ln_prefactor=-2.5), 0.05, 20.0),
+    "ising-chain": (IsingChain(60, 0.7), -0.7 * 59 / 60, 0.0),
+    "custom-power": (model_from_config({"model.kind": "custom-entropy", "model.n": "10",
+                                        "model.form": "power", "model.coeff": "2.0",
+                                        "model.exponent": "0.5"}), 0.05, 20.0),
+    "custom-log": (model_from_config({"model.kind": "custom-entropy", "model.n": "100",
+                                      "model.form": "log", "model.coeff": "1.5"}), 0.05, 20.0),
+}
+
+
+@pytest.mark.parametrize("name", SLOPE_MODELS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=6))
+def test_entropy_slopes_are_derivatives_of_ln_density_per_particle(name, fractions):
+    """(s'(e), s''(e)) match central differences of s(e) = ln_density(N e) / N.
+
+    The step is 1e-3 of the distance from e to the nearer end of the
+    interval.  A float in gives floats out; an array gives the per-float
+    values elementwise, to within the ulp by which numpy's power may
+    differ from the C library's (the power-form entropy).
+    """
+    model, lo, hi = SLOPE_MODELS[name]
+    n = model.n_particles
+    energies = [lo + u * (hi - lo) for u in fractions]
+    per_float = []
+    for e in energies:
+        d1, d2 = model.entropy_slopes(e)
+        for slopes in ((d1, d2), model.entropy_slopes(np.float64(e))):
+            assert slopes == (d1, d2) and all(type(v) is float for v in slopes)
+        h = 1e-3 * min(e - lo, hi - e)
+        s_minus, s_mid, s_plus = model.ln_density(n * np.array([e - h, e, e + h])) / n
+        assert d1 == pytest.approx((s_plus - s_minus) / (2.0 * h), rel=1e-6, abs=1e-9)
+        assert d2 == pytest.approx((s_plus - 2.0 * s_mid + s_minus) / (h * h), rel=1e-5)
+        per_float.append((d1, d2))
+    d1_arr, d2_arr = model.entropy_slopes(np.array(energies))
+    np.testing.assert_array_max_ulp(d1_arr, [d1 for d1, _ in per_float], maxulp=1)
+    np.testing.assert_array_max_ulp(d2_arr, [d2 for _, d2 in per_float], maxulp=1)
 
 
 @settings(derandomize=True, max_examples=100)
@@ -137,7 +188,7 @@ def test_ising_midpoint_temperature_boundary():
         spectrum.energies[mid + 1] - spectrum.energies[mid - 1])
     assert fd == 0.0
     model = IsingChain(n, 1.0)
-    _, d1, d2 = model.entropy_derivatives(0.0)
+    d1, d2 = model.entropy_slopes(0.0)
     assert abs(d1) < 1e-12
     assert d2 < 0.0
 
@@ -150,22 +201,6 @@ def test_ising_model_matches_spectrum_on_levels():
         if e_level <= 0.0:
             assert model.ln_density(float(e_level)) == pytest.approx(float(ln_g), rel=1e-12)
     assert model.ln_density(1.0) == -math.inf  # negative-temperature side excluded
-
-
-def test_custom_entropy_returns_its_derivatives():
-    """entropy_derivatives returns (s, s', s'') of the supplied functions, as floats.
-
-    Both derivatives are required; there is no numerical fallback.
-    """
-    model = CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5,
-                          entropy_d1=lambda e: e ** -0.5,
-                          entropy_d2=lambda e: -0.5 * e ** -1.5)
-    for e in (0.3, 1.0, 4.7, 120.0):
-        assert model.entropy_derivatives(e) == (2.0 * e ** 0.5, e ** -0.5, -0.5 * e ** -1.5)
-    with pytest.raises(DomainError):
-        model.entropy_derivatives(-1.0)
-    with pytest.raises(TypeError):
-        CustomEntropy(10, entropy=lambda e: 2.0 * e ** 0.5)
 
 
 def test_spectrum_validation():
