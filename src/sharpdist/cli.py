@@ -43,7 +43,7 @@ from .scaling import (algebraic_tail_builder, bounded_window_builder,
 OUT_DIR_ENV = "SHARPDIST_OUT"
 
 GRID_DEFAULTS = {
-    "grid.initial_points": "4097",
+    "grid.initial_points": "65",
     "grid.max_points": "4194305",
     "grid.refine_tol": "1e-10",
 }

@@ -7,8 +7,8 @@ identical inputs produce byte-identical files.
 
 Rows are formatted and streamed to a temp file ``BLOCK_ROWS`` at a time,
 and the temp file is renamed onto the target only once it is complete.
-The array-backed writers convert each column block with ``tolist()``, so
-every cell costs one ``repr`` of a Python float and little else.
+The array-backed writers format a column block at a time and hand
+``write_csv`` each row as one joined line.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def write_csv(path, columns: Sequence[str], rows: Iterable,
               comments: Sequence[str] = (), trailing_comments: Sequence[str] = ()) -> Path:
     """Write one CSV file atomically (temp file then rename).
 
-    ``rows`` is an iterable of row tuples, consumed and written
-    ``BLOCK_ROWS`` rows at a time.  If anything raises, the temp file is
-    removed and ``path`` is left as it was.
+    ``rows`` is an iterable of row tuples (or of joined ``str`` lines),
+    consumed and written ``BLOCK_ROWS`` rows at a time.  If anything
+    raises, the temp file is removed and ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -67,7 +67,8 @@ def write_csv(path, columns: Sequence[str], rows: Iterable,
             f.write("".join("# %s\n" % c for c in comments))
             f.write(",".join(columns) + "\n")
             while True:
-                block = [",".join(map(format_value, row)) for row in islice(rows, BLOCK_ROWS)]
+                block = [row if type(row) is str else ",".join(map(format_value, row))
+                         for row in islice(rows, BLOCK_ROWS)]
                 if not block:
                     break
                 block.append("")   # so the block ends with a newline
@@ -81,9 +82,14 @@ def write_csv(path, columns: Sequence[str], rows: Iterable,
 
 
 def _array_rows(*columns):
-    """Row tuples of equal-length 1-d arrays, each column converted per block by tolist()."""
+    """A CSV line per row of equal-length 1-d arrays; cells as ``format_value`` writes them.
+
+    Each column block maps ``float.__repr__`` (``str`` for integers) over its ``tolist()``.
+    """
+    formats = [str if c.dtype.kind in "iu" else float.__repr__ for c in columns]
     for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield from zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+        yield from map(",".join, zip(*(map(fmt, c[start:start + BLOCK_ROWS].tolist())
+                                       for fmt, c in zip(formats, columns))))
 
 
 def write_distribution_csv(path, dist, comments=(), max_rows=None):

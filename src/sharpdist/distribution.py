@@ -9,9 +9,8 @@ uniform step h with Gregory end corrections of order 6, which add
 h*(-49/288, 77/240, -7/30, 73/720, -3/160) to the weights of the five
 points at each end (the two sets add where they overlap).  The rule is
 exact for polynomials up to degree 5 on any segment of at least 9 points.
-One function, ``_weights``, builds these weights times dE/dx, and every
-refinement level, the normalization, the moments and the segment masses
-take their integrals from it.
+The point masses and every refinement level's integral (``_ln_integral``)
+take these weights times dE/dx.
 
 Grid policy: each connected piece of (profile support intersected with the
 model domain) receives a window covering the region where the local
@@ -27,15 +26,14 @@ the peak to that cell's far end, on the side below the cut.  Each window
 is cut at the profile's knots that lie strictly inside it, so no segment
 straddles a kink; the two sides of a join share the knot.
 
-Each segment's grid is uniform in its own ``Coordinate`` x: ``LOG`` (x =
-ln E) where 0 < lo and hi/lo > ``_GEOMETRIC_SPAN``, else ``LINEAR`` (x =
-E).  The segment's exact ends map to x, and every quadrature integrates
-the weight over x, with each point's weight times dE/dx.  All segments are
-refined together, halving the step until the log normalization moves by
-less than ``refine_tol`` between levels; a build that reaches
-``max_points`` per segment without that raises ConvergenceError.  Keeping
-a window per piece (rather than one global window) is what lets mass
-ratios as small as 1e-40 between separated lumps come out right.
+Each segment's grid is uniform in its own ``Coordinate`` x, ``LINEAR`` (x
+= E) or ``LOG`` (x = ln E, chosen by ``_first_level``); every quadrature
+integrates over x with each point's weight times dE/dx.  Each segment is
+refined on its own until one halving changes its integral by less than
+refine_tol / (number of segments) of Z, or raises ConvergenceError at
+``max_points``.  Keeping a window per piece (rather than one global
+window) is what lets mass ratios as small as 1e-40 between separated lumps
+come out right.
 """
 
 from __future__ import annotations
@@ -79,29 +77,39 @@ _PEAK_REL_TOL = 1e-10
 # bracket of finite floats (2,098 binades from the largest to the smallest
 # subnormal spacing) down to adjacent floats
 _MAX_SECTION_ROUNDS = 270
-# a segment whose hi/lo exceeds this (with lo > 0) is gridded uniformly in
-# ln E: linear segments of the bounded, cutoff, lump and tail builds span at
-# most about 1e3, the broad power-law tail beyond its knot about 5e8
-_GEOMETRIC_SPAN = 1e6
+# a segment is gridded in ln E only where its first level's end corrections
+# there are below this fraction of those in E
+_LOG_GAIN = 0.5
+# a segment's first round goes to this many points (the third level from a
+# 65-point start), so two coarse levels that agree by accident never end it
+_MIN_CONVERGED_POINTS = 257
+# a segment whose change falls at least _JUMP_RATE-fold per halving takes
+# several halvings at once, as if it fell at least as fast as _RULE_RATE,
+# the order-6 rule's error
+_JUMP_RATE, _RULE_RATE = 1 / 16, 1 / 64
 # Gregory corrections of order 6 to the trapezoid weights of the five end
 # points, in units of the step; the end weights become 95/288, 317/240,
 # 23/30, 793/720, 157/160
 _GREGORY = np.array([-49 / 288, 77 / 240, -7 / 30, 73 / 720, -3 / 160])
+# the end weights minus 1: the trapezoid's halves plus the corrections
+_END_EXCESS = _GREGORY - np.array([0.5, 0.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
 class GridPolicy:
     """Controls for the adaptive grid construction."""
 
-    initial_points: int = 4097
+    initial_points: int = 65
     max_points: int = 4_194_305
     refine_tol: float = 1e-10
 
     def __post_init__(self):
         if self.initial_points < 9:
             raise ValueError("initial_points must be at least 9")
-        if self.max_points < self.initial_points:
-            raise ValueError("max_points must be at least initial_points")
+        if self.initial_points != self.max_points < 2 * self.initial_points - 1:  # no halving fits
+            raise ValueError("max_points must equal initial_points (a fixed grid) or be at "
+                             "least 2 * initial_points - 1 = %d (one halving), got %d"
+                             % (2 * self.initial_points - 1, self.max_points))
         if self.refine_tol <= 0.0:
             raise ValueError("refine_tol must be positive")
 
@@ -114,21 +122,23 @@ class Coordinate:
     """The variable x in which a segment's grid is uniform; LINEAR or LOG, pickled by name.
 
     ``to_x`` maps a segment end to x, ``to_e`` grid points x back to E, and
-    ``jacobian(E)`` is dE/dx at the points E, which multiplies their
-    quadrature weights in x.
+    ``times_jacobian(f, E)`` multiplies values f at the points E in place by
+    dE/dx, as every quadrature in x does.
     """
 
     name: str
     to_x: Callable = field(repr=False)
     to_e: Callable = field(repr=False)
-    jacobian: Callable = field(repr=False)
+    times_jacobian: Callable = field(repr=False)
 
     def __reduce__(self):
         return self.name
 
 
-LINEAR = Coordinate("LINEAR", to_x=lambda e: e, to_e=lambda x: x, jacobian=lambda e: 1.0)
-LOG = Coordinate("LOG", to_x=math.log, to_e=np.exp, jacobian=lambda e: e)
+LINEAR = Coordinate("LINEAR", to_x=lambda e: e, to_e=lambda x: x,
+                    times_jacobian=lambda f, e: None)
+LOG = Coordinate("LOG", to_x=math.log, to_e=np.exp,
+                 times_jacobian=lambda f, e: np.multiply(f, e, out=f))
 
 
 @dataclass(frozen=True)
@@ -178,8 +188,14 @@ class EnergyDistribution:
         """exp(ln_w) times each point's quadrature weight in x and dE/dx."""
         p = np.exp(self.ln_w)
         for seg in self.segments:
-            p[seg.start:seg.stop] *= _weights(seg.coordinate, self.grid[seg.start:seg.stop],
-                                              seg.step)
+            f = p[seg.start:seg.stop]
+            seg.coordinate.times_jacobian(f, self.grid[seg.start:seg.stop])
+            # both ends' excess weights come from the unweighted values: where
+            # they meet (fewer than 10 points) they add
+            head, tail = _END_EXCESS * f[:5], _END_EXCESS * f[:-6:-1]
+            f[:5] += head
+            f[:-6:-1] += tail
+            f *= seg.step
         p.setflags(write=False)
         return p
 
@@ -241,10 +257,9 @@ def _probe(lnh, energies):
     and the piece would be dropped as weightless.
     """
     values = np.asarray(lnh(energies))
-    nan = np.isnan(values)
-    if nan.any():
+    if math.isnan(values.max()):  # the maximum is NaN exactly where a value is
         raise DomainError("log-weight is NaN at E = %r"
-                          % float(energies[int(np.argmax(nan))]))
+                          % float(energies[int(np.argmax(np.isnan(values)))]))
     return values
 
 
@@ -409,9 +424,7 @@ def _split_at_knots(window, knots):
     """``window`` cut at the knots strictly inside it; the pieces share each knot."""
     cuts = sorted({k for k in knots if window.lo < k < window.hi})
     bounds = [window.lo] + cuts + [window.hi]
-    return [replace(window, lo=a, hi=b,
-                    coordinate=LOG if 0.0 < a and b > _GEOMETRIC_SPAN * a else LINEAR)
-            for a, b in zip(bounds, bounds[1:])]
+    return [replace(window, lo=a, hi=b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _segment_points(lo, hi, coordinate, n):
@@ -429,55 +442,91 @@ def _segment_points(lo, hi, coordinate, n):
     return energies, step
 
 
-def _weights(coordinate, energies, step):
-    """Quadrature weights of the points ``energies``, uniform in ``coordinate`` at ``step``.
+def _ln_integral(values, coordinate, energies, step):
+    """(ln of the integral of exp(values), |end corrections| / integral) on a segment's points.
 
-    The trapezoid weights in x with the _GREGORY end corrections, times
-    dE/dx at each point: the one rule behind every integral of a build.
+    The point masses' sum: the plain sum, pairwise (ndarray.sum, whose
+    rounding grows like log n), plus the end weights' excess.
     """
-    weights = np.full(energies.size, step)
-    weights[[0, -1]] *= 0.5
-    weights[:5] += step * _GREGORY
-    weights[:-6:-1] += step * _GREGORY
-    weights *= coordinate.jacobian(energies)
-    return weights
-
-
-def _ln_integral(values, weights):
-    """ln of the sum of exp(values) times ``weights``, scaled by the largest value.
-
-    The products are summed pairwise (ndarray.sum), whose rounding grows
-    like log n; the running sums of a BLAS dot product grow like n and move
-    ln Z by several ulps on segments of 2**18 points.
-    """
-    m = float(np.max(values))
+    m = float(values.max())
     if not math.isfinite(m):
-        return -math.inf
-    ex = values - m
-    np.exp(ex, out=ex)
-    ex *= weights
-    return m + math.log(float(ex.sum()))
+        return -math.inf, 0.0
+    f = values - m
+    np.exp(f, out=f)
+    coordinate.times_jacobian(f, energies)
+    ends = f[:5] + f[:-6:-1]
+    total = float(f.sum() + _END_EXCESS @ ends)
+    return m + math.log(total * step), abs(float(_GREGORY @ ends)) / total
 
 
-def _segment_levels(lnh, seg, n):
-    """Yield (log-weights, ln integral) of ``seg`` at n, 2n - 1, 4n - 3, ... points.
+class _Refinement:
+    """One segment's grid while it is refined: points, log-weights and ln integral.
 
-    Each level's integral is exp(log-weights) against that level's
-    ``_weights``.  A level after the first evaluates lnh only at its new
-    midpoints x0 + h*(1, 3, 5, ...), as the even-index points are the
-    previous level's, bitwise.
+    ``change`` is its last halving's change of the integral, relative to it;
+    ``rate`` the factor by which changes fell per halving then.
     """
-    energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
-    values = _probe(lnh, energies)
-    while True:
-        ln_int = _ln_integral(values, _weights(seg.coordinate, energies, h))
-        del energies  # only the log-weights stay alive between levels
-        yield values, ln_int
-        n = 2 * (n - 1) + 1
+
+    def __init__(self, lnh, seg, energies, step, values):
+        self.lnh, self.seg, self.change, self.rate = lnh, seg, None, None
+        self._level(energies, step, values)
+
+    def _level(self, energies, step, values):
+        self.energies, self.step, self.values = energies, step, values
+        self.ln_int, self.corrections = _ln_integral(values, self.seg.coordinate, energies, step)
+
+    def room(self, max_points):  # the halvings that still fit under max_points
+        return ((max_points - 1) // (self.energies.size - 1)).bit_length() - 1
+
+    def halve(self, halvings):
+        """Halve the step ``halvings`` times, evaluating every new point in one lnh call.
+
+        The old points are those at every 2**halvings-th index of the new, bitwise.  The
+        rate compares the last halving's change with the first's, or the last round's.
+        """
+        seg, stride, before = self.seg, 1 << halvings, self.ln_int
+        n = (self.energies.size - 1) * stride + 1
         energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
-        finer = np.empty(n)
-        finer[::2], finer[1::2] = values, _probe(lnh, energies[1::2])
-        values = finer
+        values = np.empty(n)
+        values[::stride] = self.values
+        new = energies[:-1].reshape(-1, stride)[:, 1:]
+        values[:-1].reshape(-1, stride)[:, 1:] = _probe(self.lnh, new.ravel()).reshape(new.shape)
+        coarse = (before if halvings == 1 else
+                  _ln_integral(values[::2], seg.coordinate, energies[::2], 2.0 * h)[0])
+        self._level(energies, h, values)
+        earlier = abs(math.expm1(before - coarse)) if halvings > 1 else self.change
+        self.change = abs(math.expm1(coarse - self.ln_int))
+        self.rate = (self.change / earlier) ** (1.0 / max(halvings - 1, 1)) if earlier else None
+
+    def next_halvings(self, share):
+        """The halvings of the next round: those that bring ``change`` below ``share``.
+
+        Their count assumes the faster of ``rate`` and _RULE_RATE, which the
+        rule approaches from below, so it does not overshoot where halving once
+        a round would stop; while changes fall less than _JUMP_RATE-fold a
+        halving it is one.
+        """
+        if self.rate is None or self.rate > _JUMP_RATE:
+            return 1
+        rate = min(self.rate, _RULE_RATE)
+        return max(1, math.ceil(math.log(share / self.change) / math.log(rate)))
+
+
+def _first_level(lnh, window, n, refine_tol) -> _Refinement:
+    """The refinement of ``window`` from its first n points, gridded in E or in ln E.
+
+    A window with lo > 0 is gridded in both, in one lnh call, and keeps
+    ``LOG`` only where the rule's end corrections (the plain trapezoid's
+    error) there are below _LOG_GAIN times those in E, and those are at
+    least ``refine_tol``; on narrow windows the two are close.
+    """
+    coordinates = (LINEAR, LOG) if window.lo > 0.0 else (LINEAR,)
+    grids = [_segment_points(window.lo, window.hi, c, n) for c in coordinates]
+    values = _probe(lnh, np.concatenate([e for e, _ in grids]))
+    linear, *log = [_Refinement(lnh, Segment(window.lo, window.hi, window.support_index, c), e, h,
+                                values[k * n:(k + 1) * n])
+                    for k, (c, (e, h)) in enumerate(zip(coordinates, grids))]
+    worth_log = log and refine_tol <= linear.corrections
+    return log[0] if worth_log and log[0].corrections < _LOG_GAIN * linear.corrections else linear
 
 
 def _check_increasing(grid, segments):
@@ -492,11 +541,10 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
 
     Raises EmptyOverlapError when support and domain do not meet,
     DivergenceError when the combined weight has no normalizable peak, and
-    ConvergenceError when refinement reaches ``policy.max_points`` points
-    per segment with the last |change of ln Z| still at or above
-    ``policy.refine_tol``.  A build in which no halving fits under
-    ``max_points`` (as with ``initial_points == max_points``) has a fixed
-    resolution and is not tested for convergence.
+    ConvergenceError when a segment reaches ``policy.max_points`` points
+    with its last change still at or above its share.  A build with
+    ``initial_points == max_points`` has a fixed resolution and is not
+    tested for convergence.
     """
     lnh = _log_weight(model, profile)
     knots = profile.knots()
@@ -508,36 +556,36 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
                      key=lambda w: w.lo)
     _, top, _ = max(pieces, key=lambda piece: piece[2])  # the first piece on a tie
 
-    n = policy.initial_points
-    levels = [_segment_levels(lnh, w, n) for w in windows]
-    state = [next(level) for level in levels]  # (log-weights, ln integral) per segment
-    ln_norm = log_sum_exp([ln_int for _, ln_int in state])
-    delta = None
-    while 2 * (n - 1) + 1 <= policy.max_points:
-        n = 2 * (n - 1) + 1
-        for k, level in enumerate(levels):
-            state[k] = next(level)
-        ln_next = log_sum_exp([ln_int for _, ln_int in state])
-        delta = abs(ln_next - ln_norm)
-        ln_norm = ln_next
-        if delta < policy.refine_tol:
-            break
-    else:
-        if delta is not None:
-            raise ConvergenceError(
-                "refinement stopped unconverged at %d points per segment: last "
-                "|change of ln Z| = %.3g, refine_tol = %.3g"
-                % (n, delta, policy.refine_tol))
+    n0, cap = policy.initial_points, policy.max_points
+    refinements = [_first_level(lnh, w, n0, policy.refine_tol) for w in windows]
+    share = policy.refine_tol / len(refinements)
+    first = max(1, ((_MIN_CONVERGED_POINTS - 2) // (n0 - 1)).bit_length())
+    halvings = {k: min(first, r.room(cap)) for k, r in enumerate(refinements) if r.room(cap)}
+    ln_norm = log_sum_exp([r.ln_int for r in refinements])
+    while halvings:
+        for k, h in halvings.items():
+            refinements[k].halve(h)
+        ln_norm = log_sum_exp([r.ln_int for r in refinements])
+        for k in list(halvings):
+            r = refinements[k]
+            weight, room = math.exp(r.ln_int - ln_norm), r.room(cap)  # weight: its share of Z
+            if r.change * weight < share:
+                del halvings[k]
+            elif not room:
+                raise ConvergenceError(
+                    "refinement stopped unconverged at %d points per segment on [%r, %r]: last "
+                    "|change of ln Z| = %.3g there, above its share %.3g of refine_tol = %.3g"
+                    % (r.energies.size, r.seg.lo, r.seg.hi, r.change * weight, share,
+                       policy.refine_tol))
+            else:
+                halvings[k] = min(room, r.next_halvings(share / weight))
 
-    ln_w = np.concatenate([values for values, _ in state])
-    ln_w -= ln_norm
-    del levels, state  # frees one grid's worth of memory before the grid is built
-    grids, segments = [], []
-    for k, w in enumerate(windows):
-        g, h = _segment_points(w.lo, w.hi, w.coordinate, n)
-        grids.append(g)
-        segments.append(replace(w, start=k * n, stop=(k + 1) * n, step=h))
-    grid = np.concatenate(grids)
+    ln_w = np.concatenate([r.values for r in refinements]) - ln_norm
+    grid = np.concatenate([r.energies for r in refinements])
+    segments, stop = [], 0
+    for r in refinements:
+        stop += r.energies.size
+        segments.append(replace(r.seg, start=stop - r.energies.size, stop=stop, step=r.step))
     _check_increasing(grid, segments)
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
                               segments=tuple(segments), peak=top, model=model,
@@ -707,12 +755,12 @@ def export_curve(dist: EnergyDistribution, max_rows=None):
 
 
 def refine_once(dist: EnergyDistribution) -> EnergyDistribution:
-    """Rebuild at a fixed resolution 4 times the final grid of ``dist``.
+    """Rebuild at a fixed resolution, 4 times (or more) each segment's final grid in ``dist``.
 
+    Every segment gets 4(n - 1) + 1 points, n the largest segment's count.
     Used to verify grid stability of derived quantities; the rebuilt
     distribution performs no further adaptive refinement.
     """
-    per_segment = dist.segments[0].stop - dist.segments[0].start
-    n = 4 * (per_segment - 1) + 1
+    n = 4 * (max(seg.stop - seg.start for seg in dist.segments) - 1) + 1
     forced = replace(dist.policy, initial_points=n, max_points=n)
     return build_distribution(dist.model, dist.profile, forced)

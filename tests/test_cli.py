@@ -112,7 +112,8 @@ def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("grid.max_points=100", "max_points must be at least initial_points"),
+    ("grid.max_points=100", "max_points must equal initial_points (a fixed grid) or be at "
+                            "least 2 * initial_points - 1 = 129 (one halving), got 100"),
     ("output.max_rows=-1", "max_rows must not be negative"),
 ], ids=["max-points-below-initial", "negative-max-rows"])
 def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, capsys,
@@ -121,6 +122,26 @@ def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, caps
     assert main(["dist", "--out", str(out), "--set", setting]) == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("initial, cap, code", [
+    (4097, 8000, 2), (4097, 8192, 2), (65, 128, 2), (65, 66, 2),
+    (4097, 4097, 0), (65, 129, 4),
+])
+def test_dist_grid_budget_that_fits_no_halving_is_a_config_error(tmp_path, capsys,
+                                                                 initial, cap, code):
+    """A cap between initial_points and one halving would return an untested grid.
+
+    A cap equal to initial_points stays the fixed-resolution request, and a
+    cap that fits one halving tests that halving (which fails here: exit 4).
+    """
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", "grid.initial_points=%d" % initial,
+                 "--set", "grid.max_points=%d" % cap]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "at least 2 * initial_points - 1 = %d" % (2 * initial - 1) in err
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1",

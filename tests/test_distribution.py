@@ -14,9 +14,10 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        failure_mode_demo, lump_mass_fractions, model_from_config,
                        moments, peak, refine_once, summarize,
                        tail_profile_prediction)
-from sharpdist.distribution import (_PEAK_REL_TOL, _WINDOW_NATS, LINEAR, LOG,
-                                    _component_window, _grow_right_edge, _log_weight,
-                                    _section_crossing, _section_max, export_curve)
+from sharpdist.distribution import (_PEAK_REL_TOL, _WINDOW_NATS, DEFAULT_POLICY, LINEAR,
+                                    LOG, _component_window, _grow_right_edge, _log_weight,
+                                    _section_crossing, _section_max, _segment_points,
+                                    export_curve)
 from sharpdist.numerics import compensated_sum
 
 from oracles import (algebraic_tail_mean, gamma_moments,
@@ -207,6 +208,27 @@ def test_tail_prediction_exponential():
 def test_tail_prediction_rejects_other_profiles():
     with pytest.raises(ValueError):
         tail_profile_prediction(IdealGas(100), UniformWindow(0.0, 1.0))
+
+
+def test_saddle_solve_stops_once_a_newton_step_has_converged():
+    """A converged Newton step ends the saddle solve, also when it lands on a bracket end.
+
+    For IdealGas(1000) x ExponentialTail(sqrt(1000), 2) the step lands on
+    the root within an ulp, where g has just moved the bracket end; a solve
+    that took only steps strictly inside the bracket bisected that bracket
+    about 28 more times, 69 scalar slope calls in all (13 now).
+    """
+    calls = []
+
+    class CountingGas(IdealGas):
+        def entropy_slopes(self, e):
+            calls.append(e)
+            return super().entropy_slopes(e)
+
+    pred = tail_profile_prediction(CountingGas(1000), ExponentialTail(math.sqrt(1000.0), 2.0))
+    assert pred.mean == pytest.approx(math.sqrt(750000.0), rel=1e-15)
+    scalar_calls = sum(isinstance(e, float) for e in calls)  # g, dg and the curvature
+    assert scalar_calls <= 16
 
 
 def test_ln_density_values_are_log_state_counts():
@@ -420,16 +442,99 @@ def test_moments_stable_under_refine_once(kind, n_particles):
     assert width4 == pytest.approx(width, rel=1e-9)
 
 
-# first-level grid step of a flat weight on [0.25, 1], whose build converges
-# after one refinement; a band of half-width H/2048 around a grid point holds
-# no other point of any level up to the default cap
-_H = 0.75 / 4096
+# the points per segment of every build of each kind for N = 2 .. 5000 when
+# all segments refined together from a shared 4,097-point start; no build
+# may use more now
+_SHARED_START_POINTS = {
+    "uniform": 8193, "cutoff": 8193, "lumps": 8193, "exponential-tail": 8193,
+    "broad-algebraic-tail": 8193, "algebraic-tail": 262145,
+}
+_GRID_PROFILES = {
+    **_REFINE_PROFILES,
+    "algebraic-tail": lambda n: AlgebraicTail(decay=1.5 * n + 10.0, e_ref=1.0),
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_GRID_PROFILES)),
+       n_particles=st.integers(min_value=2, max_value=5000))
+def test_per_segment_grids_agree_with_a_denser_grid_on_fewer_points(kind, n_particles):
+    """Each segment stops at its own count, none above the shared start's.
+
+    A fixed grid at least 4x denser moves neither mean nor width by 1e-10
+    relative.
+    """
+    dist = build_checked(IdealGas(n_particles), _GRID_PROFILES[kind](n_particles))
+    assert max(seg.stop - seg.start for seg in dist.segments) <= _SHARED_START_POINTS[kind]
+    mean, width = moments(dist)
+    mean4, width4 = moments(refine_once(dist))
+    assert mean4 == pytest.approx(mean, rel=1e-10)
+    assert width4 == pytest.approx(width, rel=1e-10)
+
+
+def test_moderate_power_law_tail_is_gridded_in_ln_e():
+    """IdealGas(100) x AlgebraicTail(160) reaches 403x beyond its knot.
+
+    The segment there falls as E^-11, a power law that ln E makes an
+    exponential; gridded in ln E it converges on at most 8,193 points where
+    a grid uniform in E took 262,145.
+    """
+    dist = build_checked(IdealGas(100), AlgebraicTail(decay=160.0))
+    assert [seg.coordinate for seg in dist.segments] == [LINEAR, LOG]
+    assert max(seg.stop - seg.start for seg in dist.segments) <= 8193
+    mean, _ = moments(dist)
+    assert mean == pytest.approx(algebraic_tail_mean(150, 160), rel=1e-8)
+
+
+def test_two_coarse_levels_that_agree_do_not_end_refinement():
+    """A bump between the points of the 65- and 129-point levels is still integrated.
+
+    The weight 1 + e^3 exp(-(E - c)^2 / (2 sigma^2)) on [0.25, 1], with c
+    a point of the 257-point level only and sigma = 2e-4, reads exactly 1
+    on both coarse levels, whose integrals then agree to the last bit.  The
+    first change compared is that between 129 and 257 points, which sees
+    the bump, so refinement goes on until it is resolved.
+    """
+    c, sigma = 0.25 + 101 * 0.75 / 256, 2e-4
+    model = build_only_model(
+        lambda e: 0.5 * np.log1p(np.exp(3.0 - (2.0 * e - c) ** 2 / (2.0 * sigma ** 2))))
+    dist = build_checked(model, UniformWindow(0.25, 1.0))
+    exact = 0.75 + math.exp(3.0) * sigma * math.sqrt(2.0 * math.pi)
+    assert dist.ln_norm == pytest.approx(math.log(exact), abs=1e-9)
+    assert dist.grid.size > 257
+
+
+def _tilted_model(band=(0.0, 0.0)):
+    """ln W = -100 E, NaN on the open ``band`` of energies.
+
+    Under UniformWindow(0.25, 1) its window ends at the e^-60 cut near
+    0.85, so its grid points, unlike those of a flat weight on the whole
+    window, do not fall on the points of the peak scan of [0.25, 1].
+    """
+    lo, hi = band
+    return build_only_model(
+        lambda e: np.where((lo < 2.0 * e) & (2.0 * e < hi), np.nan, -100.0 * e))
+
+
+_FIRST_POINTS = DEFAULT_POLICY.initial_points
+
+
+def _grid_point_band(n, j):
+    """A band around point j of the n-point grid of the tilted weight's segment.
+
+    Its half-width, 2**-17 of the step there, keeps out every other point of
+    every level up to the default cap.
+    """
+    seg = build_distribution(_tilted_model(), UniformWindow(0.25, 1.0)).segments[0]
+    points, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
+    half = (points[j + 1] - points[j]) / 2 ** 17
+    return points[j] - half, points[j] + half
 
 
 @pytest.mark.parametrize("profile, band", [
-    (Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]), (0.0, 0.5)),
-    (UniformWindow(0.25, 1.0), (0.25 + (1001 - 1 / 2048) * _H, 0.25 + (1001 + 1 / 2048) * _H)),
-    (UniformWindow(0.25, 1.0), (0.25 + (1001.5 - 1 / 2048) * _H, 0.25 + (1001.5 + 1 / 2048) * _H)),
+    (Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]), lambda: (0.0, 0.5)),
+    (UniformWindow(0.25, 1.0), lambda: _grid_point_band(_FIRST_POINTS, 20)),
+    (UniformWindow(0.25, 1.0), lambda: _grid_point_band(2 * _FIRST_POINTS - 1, 41)),
 ], ids=["peak-scan", "first-level", "refinement-midpoints"])
 def test_nan_log_weight_raises_domain_error(profile, band):
     """A NaN log-weight fails loudly at the first NaN energy, never reads as -inf.
@@ -439,10 +544,9 @@ def test_nan_log_weight_raises_domain_error(profile, band):
     between scan points; the third holds one midpoint of the first
     refinement and no other grid point.
     """
-    lo, hi = band
-    model = build_only_model(lambda e: np.where((lo < 2.0 * e) & (2.0 * e < hi), np.nan, 0.0))
+    lo, hi = band()
     with pytest.raises(DomainError, match="NaN") as info:
-        build_distribution(model, profile)
+        build_distribution(_tilted_model((lo, hi)), profile)
     energy = float(str(info.value).rsplit("=", 1)[1])
     assert lo < energy < hi
 
