@@ -17,23 +17,24 @@ model domain) receives a window covering the region where the local
 log-weight stays within a fixed 60 nats (``_WINDOW_NATS``) of the piece's
 peak; the mass outside that window is bounded by e^-60 of the piece total.
 The piece's peak and its window edges are found by k-section searches in
-which each round is one vector call of the log-weight; a NaN on any probe
-raises DomainError.  The highest piece peak is the distribution's peak
-(on a tie, the lowest piece's), and one on a support edge is that edge.
-Each edge search starts from the cell of the peak scan that straddles the
-cut on its side of the peak and stops within 1e-10 of the distance from
-the peak to that cell's far end, on the side below the cut.  Each window
-is cut at the profile's knots that lie strictly inside it, so no segment
-straddles a kink; the two sides of a join share the knot.
+which each round is one vector call of the log-weight, shared by both
+edges; a NaN on any probe raises DomainError.  The highest piece peak is
+the distribution's peak (on a tie, the lowest piece's), and one on a
+support edge is that edge.  Each edge search starts from the cell of the
+peak scan that straddles the cut on its side of the peak and stops within
+1e-10 of the distance from the peak to that cell's far end, on the side
+below the cut.  Each window is cut at the profile's knots strictly inside
+it, so no segment straddles a kink; the two sides of a join share the knot.
 
 Each segment's grid is uniform in its own ``Coordinate`` x, ``LINEAR`` (x
-= E) or ``LOG`` (x = ln E, chosen by ``_first_level``); every quadrature
-integrates over x with each point's weight times dE/dx.  Each segment is
-refined on its own until one halving changes its integral by less than
-refine_tol / (number of segments) of Z, or raises ConvergenceError at
-``max_points``.  Keeping a window per piece (rather than one global
-window) is what lets mass ratios as small as 1e-40 between separated lumps
-come out right.
+= E) or ``LOG`` (x = ln E); every quadrature integrates over x with each
+point's weight times dE/dx.  ``_first_level`` evaluates the first round's
+points in both in one call and chooses on every 4th of them, the 65-point
+level.  Each segment is refined on its own until one halving changes its
+integral by less than refine_tol / (number of segments) of Z, or raises
+ConvergenceError at ``max_points`` or where a level's step would repeat an
+energy.  Keeping a window per piece (rather than one global window) is what
+lets mass ratios as small as 1e-40 between separated lumps come out right.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ _MIN_CONVERGED_POINTS = 257
 # several halvings at once, as if it fell at least as fast as _RULE_RATE,
 # the order-6 rule's error
 _JUMP_RATE, _RULE_RATE = 1 / 16, 1 / 64
+# a level's step must exceed this many float spacings of x at a segment's ends
+# (plus E's relative spacing in LOG): rounding moves a point by at most 2 of them
+_MIN_STEP_SPACINGS = 4
 # Gregory corrections of order 6 to the trapezoid weights of the five end
 # points, in units of the step; the end weights become 95/288, 317/240,
 # 23/30, 793/720, 157/160
@@ -110,8 +114,8 @@ class GridPolicy:
             raise ValueError("max_points must equal initial_points (a fixed grid) or be at "
                              "least 2 * initial_points - 1 = %d (one halving), got %d"
                              % (2 * self.initial_points - 1, self.max_points))
-        if self.refine_tol <= 0.0:
-            raise ValueError("refine_tol must be positive")
+        if not 0.0 < self.refine_tol < math.inf:  # NaN fails too
+            raise ValueError("refine_tol must be positive and finite, got %r" % self.refine_tol)
 
 
 DEFAULT_POLICY = GridPolicy()
@@ -334,30 +338,50 @@ def _section_max(lnh, lo, hi):
     return x_best, v_best
 
 
-def _section_crossing(lnh, x_above, x_below, target, tol=0.0):
-    """The below-side end of the crossing of ``target`` between x_above and x_below.
+def _section_crossings(lnh, target, brackets):
+    """The below-side end of the crossing of ``target`` in each (x_above, x_below, tol).
 
-    Requires lnh(x_above) >= target > lnh(x_below), in either order on the
-    axis.  Each round evaluates lnh once, on _SECTION_POINTS interior points,
-    and keeps the cell in which the weight first drops below target seen
-    from x_above.  It stops when the ends are at most ``tol`` apart or no
-    float lies strictly between them, and returns the below-side end, so
-    for a monotone lnh [x_above, result] holds all of the region above
-    target and the result is at most ``tol`` beyond the float bisection
-    returns (with ``tol=0``, that float itself).
+    Each bracket requires lnh(x_above) >= target > lnh(x_below), in either
+    order on the axis.  Each round evaluates lnh once, on _SECTION_POINTS
+    interior points of every bracket still open, and keeps in each the cell
+    in which the weight first drops below target seen from x_above.  A
+    bracket closes when its ends are at most ``tol`` apart or no float lies
+    strictly between them, and gives its below-side end, so for a monotone
+    lnh [x_above, result] holds all of its region above target and the
+    result is at most ``tol`` beyond the float bisection returns (with
+    ``tol=0``, that float itself).  Sharing the calls moves no result.
     """
-    a, b = float(x_above), float(x_below)
+    ends = [(float(a), float(b)) for a, b, _ in brackets]
     for _ in range(_MAX_SECTION_ROUNDS):
-        if abs(b - a) <= tol or math.nextafter(a, b) == b:
+        live = [k for k, ((a, b), (_, _, tol)) in enumerate(zip(ends, brackets))
+                if abs(b - a) > tol and math.nextafter(a, b) != b]
+        if not live:
             break
-        t = _section_points(a, b)
-        below = _probe(lnh, t) < target
-        j = int(np.argmax(below))
-        if below[j]:
-            a, b = (float(t[j - 1]) if j > 0 else a), float(t[j])
-        else:
-            a = float(t[-1])
-    return b
+        t = np.concatenate([_section_points(*ends[k]) for k in live])
+        below = (_probe(lnh, t) < target).reshape(len(live), -1)
+        for k, tk, bk in zip(live, t.reshape(len(live), -1), below):
+            j = int(np.argmax(bk))
+            if bk[j]:
+                ends[k] = (float(tk[j - 1]) if j > 0 else ends[k][0]), float(tk[j])
+            else:
+                ends[k] = float(tk[-1]), ends[k][1]
+    return [b for _, b in ends]
+
+
+def _peak_scan(lo, hi, extra):
+    """Sorted distinct points of ``extra`` and linear and (where lo >= 0) log scans of [lo, hi].
+
+    The log scan, from max(lo, 1e-15 hi), sees peaks many decades below hi.
+    These are bitwise np.unique's points over np.linspace and np.geomspace.
+    """
+    scans = [np.linspace(lo, hi, _COARSE_POINTS), np.asarray(extra, dtype=float)]
+    gl = max(lo, hi * 1e-15)
+    if lo >= 0.0 and 0.0 < gl < hi:
+        scans.append(10.0 ** np.linspace(np.log10(gl), np.log10(hi), _COARSE_POINTS))
+        scans[-1][0], scans[-1][-1] = gl, hi
+    cand = np.concatenate(scans)
+    cand.sort(kind="stable")  # merges the sorted runs
+    return cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
 
 
 def _component_window(lnh, lo, hi, support_index, knots):
@@ -365,24 +389,14 @@ def _component_window(lnh, lo, hi, support_index, knots):
 
     A peak on a support edge is that edge itself, a point of the scan.
     """
-    candidates = []
     if math.isinf(hi):
         # the growth's best probe joins the scan, so the scan's maximum is at
         # least the growth's and the window cut lies above lnh(hi_eff)
         hi_eff, x_best = _grow_right_edge(lnh, lo)
-        candidates.append(np.array([x_best]))
+        extra = [x_best]
     else:
-        hi_eff = hi
-    candidates.append(np.linspace(lo, hi_eff, _COARSE_POINTS))
-    if lo >= 0.0 and hi_eff > 0.0:
-        # log-spaced scan so peaks many decades below hi_eff are still seen
-        gl = max(lo, hi_eff * 1e-15)
-        if 0.0 < gl < hi_eff:
-            candidates.append(np.geomspace(gl, hi_eff, _COARSE_POINTS))
-    interior_knots = [k for k in knots if lo < k < hi_eff]
-    if interior_knots:
-        candidates.append(np.asarray(interior_knots, dtype=float))
-    cand = np.unique(np.concatenate(candidates))
+        hi_eff, extra = hi, []
+    cand = _peak_scan(lo, hi_eff, extra + [k for k in knots if lo < k < hi_eff])
     vals = _probe(lnh, cand)
     i = int(np.argmax(vals))
     if not np.isfinite(vals[i]):
@@ -395,27 +409,24 @@ def _component_window(lnh, lo, hi, support_index, knots):
         e_star, lnh_star = float(cand[i]), float(vals[i])
 
     target = lnh_star - _WINDOW_NATS
-
-    def crossing(x_above, x_below):
-        return _section_crossing(lnh, x_above, x_below, target,
-                                 _EDGE_REL_TOL * abs(e_star - x_below))
-
     # each edge search starts from the scan cell that straddles target on its
     # side of the peak (the scan points between it and the peak lie above
     # target); where that cell touches the peak, e_star is its inner end, as
-    # the scan point beside a narrow peak may lie below target
+    # the scan point beside a narrow peak may lie below target.  Both edges
+    # share each round's call.
     at = int(np.searchsorted(cand, e_star))  # cand[:at] lie left of the peak
     below = np.flatnonzero(vals < target)
-    if vals[0] >= target:  # the scan's ends are exactly lo and hi_eff
-        w_lo = lo
-    else:
+    cut_lo, cut_hi = vals[0] < target, vals[-1] < target  # the scan's ends are lo and hi_eff
+    brackets = []  # (x_above, x_below); hi_eff of a half-infinite piece is always below
+    if cut_lo:
         j = int(below[np.searchsorted(below, at) - 1])
-        w_lo = crossing(cand[j + 1] if j + 1 < at else e_star, cand[j])
-    if vals[-1] >= target:  # never for a half-infinite piece: hi_eff lies below target
-        w_hi = hi
-    else:
+        brackets.append((cand[j + 1] if j + 1 < at else e_star, cand[j]))
+    if cut_hi:
         j = int(below[np.searchsorted(below, at)])
-        w_hi = crossing(cand[j - 1] if j > at else e_star, cand[j])
+        brackets.append((cand[j - 1] if j > at else e_star, cand[j]))
+    edges = iter(_section_crossings(lnh, target, [(a, b, _EDGE_REL_TOL * abs(e_star - b))
+                                                  for a, b in brackets]))
+    w_lo, w_hi = next(edges) if cut_lo else lo, next(edges) if cut_hi else hi
     return (Segment(w_lo, w_hi, support_index),
             PeakResult(e_star, e_star == lo or e_star == hi), lnh_star)
 
@@ -474,22 +485,23 @@ class _Refinement:
         self.energies, self.step, self.values = energies, step, values
         self.ln_int, self.corrections = _ln_integral(values, self.seg.coordinate, energies, step)
 
-    def room(self, max_points):  # the halvings that still fit under max_points
-        return ((max_points - 1) // (self.energies.size - 1)).bit_length() - 1
-
-    def halve(self, halvings):
+    def halve(self, halvings, values=None):
         """Halve the step ``halvings`` times, evaluating every new point in one lnh call.
 
-        The old points are those at every 2**halvings-th index of the new, bitwise.  The
-        rate compares the last halving's change with the first's, or the last round's.
+        The old points are those at every 2**halvings-th index of the new, bitwise;
+        ``values``, lnh at all of the new points, makes no call.  The rate compares
+        the last halving's change with the first's, or the last round's.
         """
         seg, stride, before = self.seg, 1 << halvings, self.ln_int
         n = (self.energies.size - 1) * stride + 1
         energies, h = _segment_points(seg.lo, seg.hi, seg.coordinate, n)
-        values = np.empty(n)
-        values[::stride] = self.values
-        new = energies[:-1].reshape(-1, stride)[:, 1:]
-        values[:-1].reshape(-1, stride)[:, 1:] = _probe(self.lnh, new.ravel()).reshape(new.shape)
+        _check_step(seg, h, n)
+        if values is None:
+            values = np.empty(n)
+            values[::stride] = self.values
+            new = energies[:-1].reshape(-1, stride)[:, 1:]
+            values[:-1].reshape(-1, stride)[:, 1:] = _probe(self.lnh, new.ravel()).reshape(
+                new.shape)
         coarse = (before if halvings == 1 else
                   _ln_integral(values[::2], seg.coordinate, energies[::2], 2.0 * h)[0])
         self._level(energies, h, values)
@@ -511,29 +523,42 @@ class _Refinement:
         return max(1, math.ceil(math.log(share / self.change) / math.log(rate)))
 
 
-def _first_level(lnh, window, n, refine_tol) -> _Refinement:
-    """The refinement of ``window`` from its first n points, gridded in E or in ln E.
+def _room(n, max_points):  # the halvings of an n-point level that fit under max_points
+    return ((max_points - 1) // (n - 1)).bit_length() - 1
 
-    A window with lo > 0 is gridded in both, in one lnh call, and keeps
-    ``LOG`` only where the rule's end corrections (the plain trapezoid's
-    error) there are below _LOG_GAIN times those in E, and those are at
-    least ``refine_tol``; on narrow windows the two are close.
+
+def _check_step(seg, step, n):
+    """ConvergenceError where points ``step`` apart in seg's coordinate could repeat an energy."""
+    x_end = max(abs(seg.coordinate.to_x(seg.lo)), abs(seg.coordinate.to_x(seg.hi)))
+    spacing = np.spacing(x_end) + (np.spacing(1.0) if seg.coordinate is LOG else 0.0)
+    if step <= _MIN_STEP_SPACINGS * spacing:
+        raise ConvergenceError("segment [%r, %r] cannot take %d points: their step %.3g in %s is "
+                               "within %d float spacings (%.3g), so energies would repeat" % (
+                                   seg.lo, seg.hi, n, step, seg.coordinate.name,
+                                   _MIN_STEP_SPACINGS, spacing))
+
+
+def _first_level(lnh, window, n, halvings, refine_tol) -> _Refinement:
+    """``window``'s refinement through its first round, n points halved ``halvings`` times.
+
+    One lnh call evaluates the round in E and, where lo > 0, in ln E.  On the
+    n-point level (every 2**halvings-th point) LOG is kept only where its end
+    corrections (the plain trapezoid's error) are below _LOG_GAIN times
+    those in E, and those are at least ``refine_tol``.
     """
-    coordinates = (LINEAR, LOG) if window.lo > 0.0 else (LINEAR,)
-    grids = [_segment_points(window.lo, window.hi, c, n) for c in coordinates]
-    values = _probe(lnh, np.concatenate([e for e, _ in grids]))
-    linear, *log = [_Refinement(lnh, Segment(window.lo, window.hi, window.support_index, c), e, h,
-                                values[k * n:(k + 1) * n])
-                    for k, (c, (e, h)) in enumerate(zip(coordinates, grids))]
-    worth_log = log and refine_tol <= linear.corrections
-    return log[0] if worth_log and log[0].corrections < _LOG_GAIN * linear.corrections else linear
-
-
-def _check_increasing(grid, segments):
-    """Strictly increasing inside each segment; a join may repeat its knot."""
-    ties = any(np.any(np.diff(grid[seg.start:seg.stop]) <= 0.0) for seg in segments)
-    if ties or any(grid[b.start] < grid[a.stop - 1] for a, b in zip(segments, segments[1:])):
-        raise RuntimeError("internal error: assembled grid is not strictly increasing")
+    stride, coordinates = 1 << halvings, (LINEAR, LOG) if window.lo > 0.0 else (LINEAR,)
+    m = (n - 1) * stride + 1
+    grids = [_segment_points(window.lo, window.hi, c, m) for c in coordinates]
+    values = _probe(lnh, np.concatenate([e for e, _ in grids])).reshape(len(grids), m)
+    levels = [_Refinement(lnh, replace(window, coordinate=c), e[::stride], h * stride, v[::stride])
+              for c, (e, h), v in zip(coordinates, grids, values)]
+    linear, log = levels[0], levels[-1]  # one level where lo <= 0, never below half itself
+    k = int(refine_tol <= linear.corrections and log.corrections < _LOG_GAIN * linear.corrections)
+    if halvings:
+        levels[k].halve(halvings, values[k])
+    else:
+        _check_step(levels[k].seg, levels[k].step, n)
+    return levels[k]
 
 
 def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> EnergyDistribution:
@@ -557,18 +582,16 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     _, top, _ = max(pieces, key=lambda piece: piece[2])  # the first piece on a tie
 
     n0, cap = policy.initial_points, policy.max_points
-    refinements = [_first_level(lnh, w, n0, policy.refine_tol) for w in windows]
+    first = min(_room(n0, cap), max(1, ((_MIN_CONVERGED_POINTS - 2) // (n0 - 1)).bit_length()))
+    refinements = [_first_level(lnh, w, n0, first, policy.refine_tol) for w in windows]
     share = policy.refine_tol / len(refinements)
-    first = max(1, ((_MIN_CONVERGED_POINTS - 2) // (n0 - 1)).bit_length())
-    halvings = {k: min(first, r.room(cap)) for k, r in enumerate(refinements) if r.room(cap)}
-    ln_norm = log_sum_exp([r.ln_int for r in refinements])
-    while halvings:
-        for k, h in halvings.items():
-            refinements[k].halve(h)
+    halvings = dict.fromkeys(range(len(refinements)) if first else ())  # segments in refinement
+    while True:
         ln_norm = log_sum_exp([r.ln_int for r in refinements])
         for k in list(halvings):
             r = refinements[k]
-            weight, room = math.exp(r.ln_int - ln_norm), r.room(cap)  # weight: its share of Z
+            weight = math.exp(r.ln_int - ln_norm)  # its share of Z
+            room = _room(r.energies.size, cap)
             if r.change * weight < share:
                 del halvings[k]
             elif not room:
@@ -579,6 +602,10 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
                        policy.refine_tol))
             else:
                 halvings[k] = min(room, r.next_halvings(share / weight))
+        if not halvings:
+            break
+        for k, h in halvings.items():
+            refinements[k].halve(h)
 
     ln_w = np.concatenate([r.values for r in refinements]) - ln_norm
     grid = np.concatenate([r.energies for r in refinements])
@@ -586,7 +613,9 @@ def build_distribution(model, profile, policy: GridPolicy = DEFAULT_POLICY) -> E
     for r in refinements:
         stop += r.energies.size
         segments.append(replace(r.seg, start=stop - r.energies.size, stop=stop, step=r.step))
-    _check_increasing(grid, segments)
+    # a join may repeat its knot; _check_step keeps each segment increasing
+    if any(grid[b.start] < grid[a.stop - 1] for a, b in zip(segments, segments[1:])):
+        raise RuntimeError("internal error: assembled grid is not strictly increasing")
     return EnergyDistribution(grid=grid, ln_w=ln_w, ln_norm=ln_norm,
                               segments=tuple(segments), peak=top, model=model,
                               profile=profile, policy=policy)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sharpdist import cli
 from sharpdist.cli import _DEFAULTS, _RUNNERS, main
 from sharpdist.configio import _Recording
 
@@ -142,6 +143,37 @@ def test_dist_grid_budget_that_fits_no_halving_is_a_config_error(tmp_path, capsy
         err = capsys.readouterr().err
         assert "at least 2 * initial_points - 1 = %d" % (2 * initial - 1) in err
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("setting", ["grid.refine_tol=inf", "grid.refine_tol=nan"],
+                         ids=["inf", "nan"])
+def test_dist_non_finite_refine_tol_is_a_config_error(tmp_path, capsys, monkeypatch, setting):
+    """No build starts: inf exited 0 on an unrefined first round, NaN 2 after a partial build."""
+    def no_build(*args):
+        raise AssertionError("a config error must come before any build")
+
+    monkeypatch.setattr(cli, "build_distribution", no_build)
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "refine_tol must be positive and finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_dist_grid_below_the_float_spacing_exits_4(tmp_path, capsys):
+    """N = 1e11 under the unit window narrows its one segment to [1 - 4e-10, 1].
+
+    Its halvings would take the step below the float spacing at E = 1 and
+    repeat energies (an internal error once, exit 1); the build stops
+    before that level with a ConvergenceError naming the segment and the
+    step, and writes nothing.
+    """
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", "model.n=100000000000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ConvergenceError: segment [0.99999999") and ", 1.0]" in err
+    assert "their step" in err and "energies would repeat" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1",

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
@@ -14,9 +14,10 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
                        failure_mode_demo, lump_mass_fractions, model_from_config,
                        moments, peak, refine_once, summarize,
                        tail_profile_prediction)
-from sharpdist.distribution import (_PEAK_REL_TOL, _WINDOW_NATS, DEFAULT_POLICY, LINEAR,
-                                    LOG, _component_window, _grow_right_edge, _log_weight,
-                                    _section_crossing, _section_max, _segment_points,
+from sharpdist.distribution import (_COARSE_POINTS, _PEAK_REL_TOL, _WINDOW_NATS,
+                                    DEFAULT_POLICY, LINEAR, LOG, _component_window,
+                                    _grow_right_edge, _log_weight, _peak_scan,
+                                    _section_crossings, _section_max, _segment_points,
                                     export_curve)
 from sharpdist.numerics import compensated_sum
 
@@ -396,13 +397,16 @@ def test_unconverged_refinement_raises_convergence_error():
 
 
 def test_settings_the_build_would_override_are_rejected():
-    """A cap below the first level, or a negative row budget, raises ValueError.
+    """A cap below the first level, a bad refine_tol or a negative row budget raises ValueError.
 
     A build capped below initial_points could not refine, so it could not
     test its convergence either.
     """
     with pytest.raises(ValueError, match="max_points"):
         GridPolicy(initial_points=4097, max_points=100)
+    for tol in (0.0, -1e-10, math.inf, math.nan):
+        with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+            GridPolicy(refine_tol=tol)
     dist = build_checked(IdealGas(100), UniformWindow(0.0, 1.0))
     with pytest.raises(ValueError, match="max_rows"):
         export_curve(dist, -1)
@@ -470,6 +474,36 @@ def test_per_segment_grids_agree_with_a_denser_grid_on_fewer_points(kind, n_part
     mean4, width4 = moments(refine_once(dist))
     assert mean4 == pytest.approx(mean, rel=1e-10)
     assert width4 == pytest.approx(width, rel=1e-10)
+
+
+_FIRST_ROUND_BUILDS = {
+    "exponential-tail": lambda n: ExponentialTail(delta=1.0, kappa=1.0),
+    "stretched-tail": lambda n: ExponentialTail(delta=1.0, kappa=2.0),
+    "window": lambda n: UniformWindow(0.0, 1.0),
+    "offset-window": lambda n: UniformWindow(0.25, 1.0),
+    "lumps": lambda n: Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]),
+    "algebraic-tail": lambda n: AlgebraicTail(decay=1.5 * n + 10.0),
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_FIRST_ROUND_BUILDS)),
+       n_particles=st.integers(min_value=2, max_value=2000))
+@example(kind="algebraic-tail", n_particles=100)  # AlgebraicTail(160): a LOG segment
+def test_first_round_keeps_the_coordinate_and_points_of_the_first_level(kind, n_particles):
+    """The coordinate is chosen on the 65-point level inside the first round's points.
+
+    Each segment keeps the coordinate of a fixed 65-point build, and every
+    (n - 1)/64-th point of its final n-point grid is that build's, bitwise.
+    """
+    model, profile = IdealGas(n_particles), _FIRST_ROUND_BUILDS[kind](n_particles)
+    dist = build_checked(model, profile)
+    fixed = build_distribution(model, profile, GridPolicy(initial_points=65, max_points=65))
+    assert len(dist.segments) == len(fixed.segments)
+    for seg, ref in zip(dist.segments, fixed.segments):
+        assert seg.coordinate is ref.coordinate
+        grid = dist.grid[seg.start:seg.stop:(seg.stop - seg.start - 1) // 64]
+        assert grid.tobytes() == fixed.grid[ref.start:ref.stop].tobytes()
 
 
 def test_moderate_power_law_tail_is_gridded_in_ln_e():
@@ -722,7 +756,7 @@ def test_section_crossing_returns_the_below_side_float(x_above, x_below, slope, 
     f_above, f_below = float(lnh(x_above)), float(lnh(x_below))
     target = f_below + frac * (f_above - f_below)
     assume(f_below < target <= f_above)
-    b = _section_crossing(lnh, x_above, x_below, target)
+    [b] = _section_crossings(lnh, target, [(x_above, x_below, 0.0)])
     assert lnh(b) < target <= lnh(math.nextafter(b, x_above))
 
 
@@ -751,11 +785,69 @@ def test_section_crossing_with_a_tolerance_stays_below_and_near(x_above, x_below
     target = f_below + frac * (f_above - f_below)
     assume(f_below < target <= f_above)
     tol = rel_tol * abs(x_below - x_above)
-    b = _section_crossing(lnh, x_above, x_below, target, tol)
-    b0 = _section_crossing(lnh, x_above, x_below, target)
+    [b] = _section_crossings(lnh, target, [(x_above, x_below, tol)])
+    [b0] = _section_crossings(lnh, target, [(x_above, x_below, 0.0)])
     assert lnh(b) < target
     assert min(x_above, b) <= b0 <= max(x_above, b)
     assert abs(b - b0) <= tol
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(top=st.floats(min_value=-1e4, max_value=1e4),
+       slopes=st.tuples(st.floats(min_value=1e-3, max_value=1e3),
+                        st.floats(min_value=1e-3, max_value=1e3)),
+       cubic=st.booleans(),
+       depth=st.floats(min_value=1e-3, max_value=1e3),
+       inner=st.tuples(st.floats(min_value=0.0, max_value=0.99),
+                       st.floats(min_value=0.0, max_value=0.99)),
+       outer=st.tuples(st.floats(min_value=1.01, max_value=1e3),
+                       st.floats(min_value=1.01, max_value=1e3)),
+       rel_tol=st.just(0.0) | st.floats(min_value=1e-16, max_value=0.5))
+def test_joint_edge_search_returns_the_floats_of_one_search_per_bracket(top, slopes, cubic,
+                                                                        depth, inner, outer,
+                                                                        rel_tol):
+    """Both window edges share each round's call; each still lands on its own float.
+
+    lnh rises to ``top`` and falls beyond it, at its own slope on each side,
+    and each bracket straddles the target on its side, its ends at fractions
+    ``inner`` and ``outer`` of the distance to the crossing.  Searched
+    together or one at a time, each edge is the same float, at tol = 0 and
+    tol > 0.
+    """
+    def lnh(energy):
+        d = np.asarray(energy, dtype=float) - top
+        d = d * d * d if cubic else d
+        return np.where(d < 0.0, slopes[0] * d, -slopes[1] * d)
+
+    target, brackets = -depth, []
+    for side, slope, a, b in zip((-1.0, 1.0), slopes, inner, outer):
+        reach = (depth / slope) ** (1.0 / 3.0 if cubic else 1.0)
+        x_above, x_below = top + side * a * reach, top + side * b * reach
+        brackets.append((x_above, x_below, rel_tol * abs(x_below - x_above)))
+    assume(all(lnh(a) >= target > lnh(b) for a, b, _ in brackets))
+    joint = _section_crossings(lnh, target, brackets)
+    assert joint == [_section_crossings(lnh, target, [bracket])[0] for bracket in brackets]
+    assert all(lnh(b) < target for b in joint)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lo=st.just(0.0) | st.floats(min_value=-1e12, max_value=1e12).map(lambda x: x + 0.0),
+       hi=st.integers(min_value=-80, max_value=80).map(lambda k: 2.0 ** k)
+       | st.floats(min_value=-1e12, max_value=1e15),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3))
+def test_peak_scan_is_the_unique_union_of_linear_and_geometric_scans(lo, hi, fractions):
+    """The merged scans are bitwise the points np.unique makes of np.linspace and np.geomspace.
+
+    Extra points (knots, the growth's best probe) join, once each.
+    """
+    assume(lo < hi)
+    extra = [lo + f * (hi - lo) for f in fractions]
+    scans = [np.linspace(lo, hi, _COARSE_POINTS), np.asarray(extra, dtype=float)]
+    gl = max(lo, hi * 1e-15)
+    if lo >= 0.0 and 0.0 < gl < hi:
+        scans.append(np.geomspace(gl, hi, _COARSE_POINTS))
+    expected = np.unique(np.concatenate(scans))
+    assert _peak_scan(lo, hi, extra).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("lnh, lo, hi, argmax", [
@@ -852,20 +944,26 @@ class _CountingModel:
 def test_window_search_and_peak_make_few_log_weight_calls():
     """Every probe of the window search is one vector call, and peak makes none.
 
-    A build of 2 grid levels needs 2 calls; the right-edge growth, the peak
-    scan and the maximum 6 more, and each window edge 4: its search starts
-    from the peak-scan cell that straddles the cut and stops within 1e-10
-    of its distance from the peak.  Edge searches from the peak to adjacent
-    floats made 22 calls; with one scalar call per golden-section,
-    bisection or doubling step they made 162.  The maximum the window search
-    finds is the distribution's peak, so peak evaluates nothing.
+    The tail's build makes 11: the right-edge growth 1, the peak scan 1,
+    the maximum 4, both window edges 4 and the first level 1.  The edges
+    share each round's call; each search starts from the peak-scan cell
+    that straddles the cut and stops within 1e-10 of its distance from the
+    peak.  The first level evaluates its first round's 257 points too, on
+    which the tail converges.  The window's peak is its upper edge, so it
+    needs no growth and one edge, and it converges one round later.  The
+    edges searched one after the other made 16 and 12; searched from the
+    peak to adjacent floats, 22; with one scalar call per golden-section,
+    bisection or doubling step, 162.  The maximum the window search finds is
+    the distribution's peak, so peak evaluates nothing.
     """
-    model = _CountingModel(IdealGas(1000))
-    dist = build_distribution(model, ExponentialTail(delta=1.0, kappa=1.0))
-    assert model.calls <= 16
-    model.calls = 0
-    assert peak(dist).energy == pytest.approx(1500.0, rel=1e-6)
-    assert model.calls == 0
+    for profile, peak_energy in ((ExponentialTail(delta=1.0, kappa=1.0), 1500.0),
+                                 (UniformWindow(0.0, 1.0), 1.0)):
+        model = _CountingModel(IdealGas(1000))
+        dist = build_distribution(model, profile)
+        assert model.calls <= 11
+        model.calls = 0
+        assert peak(dist).energy == pytest.approx(peak_energy, rel=1e-6)
+        assert model.calls == 0
 
 
 def _scalar_right_edge(lnh, lo):
