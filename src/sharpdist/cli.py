@@ -4,7 +4,9 @@ Commands: ``dist`` builds one distribution, ``scaling`` runs a system-size
 sweep with a power-law fit, ``oracle`` compares discrete and continuum
 moments on the spin chain, ``fig1`` emits paired amplitude/distribution
 curves for a bounded profile and a two-lump profile, ``failure-demo`` runs
-a power-law tail into its broad or divergent regime.
+a power-law tail into its broad or divergent regime.  Each command is one
+entry of ``_COMMANDS``: its defaults (the grid's are ``GridPolicy``'s), its
+runner, which ``main`` hands the files' ``#`` header, and its help line.
 
 Configuration precedence: ``--set key=value`` flags over the ``--config``
 file over built-in defaults.  A key that is neither among the command's
@@ -19,7 +21,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +34,8 @@ from .configio import (_parse_lump_intervals, get_float, get_int, get_int_list,
 from .csvio import (config_comments, write_amplitude_csv, write_csv,
                     write_distribution_csv, write_state_csv, write_summary_csv,
                     write_sweep_csv)
-from .distribution import (GridPolicy, build_distribution, lump_mass_fractions,
-                           summarize)
+from .distribution import (DEFAULT_POLICY, GridPolicy, build_distribution,
+                           lump_mass_fractions, summarize)
 from .dos import IsingChain, ising_chain_spectrum
 from .errors import ConvergenceError, DivergenceError, NoMaximumError
 from .oracle import compare_discrete_continuum, prepare_state
@@ -42,16 +46,12 @@ from .scaling import (algebraic_tail_builder, bounded_window_builder,
 
 OUT_DIR_ENV = "SHARPDIST_OUT"
 
-GRID_DEFAULTS = {
-    "grid.initial_points": "65",
-    "grid.max_points": "4194305",
-    "grid.refine_tol": "1e-10",
-}
+GRID_DEFAULTS = {"grid." + k: str(v) for k, v in asdict(DEFAULT_POLICY).items()}
+
+_MODEL_DEFAULTS = {"model.kind": "ideal-gas", "model.n": "100", "model.ln_prefactor": "0.0"}
 
 DIST_DEFAULTS = {
-    "model.kind": "ideal-gas",
-    "model.n": "100",
-    "model.ln_prefactor": "0.0",
+    **_MODEL_DEFAULTS,
     "profile.variant": "uniform-window",
     "profile.e_min": "0.0",
     "profile.e_max": "1.0",
@@ -84,9 +84,7 @@ ORACLE_DEFAULTS = {
 }
 
 FIG1_DEFAULTS = {
-    "model.kind": "ideal-gas",
-    "model.n": "100",
-    "model.ln_prefactor": "0.0",
+    **_MODEL_DEFAULTS,
     "bounded.e0": "0.3",
     "bounded.e_max": "1.0",
     "bounded.alpha": "2.0",
@@ -101,18 +99,8 @@ FAILURE_DEFAULTS = {
     "demo.eta": "153.0",
     "demo.e_ref": "1.0",
     "demo.threshold": "0.2",
-    "model.kind": "ideal-gas",
-    "model.n": "100",
-    "model.ln_prefactor": "0.0",
+    **_MODEL_DEFAULTS,
     **GRID_DEFAULTS,
-}
-
-_DEFAULTS = {
-    "dist": DIST_DEFAULTS,
-    "scaling": SCALING_DEFAULTS,
-    "oracle": ORACLE_DEFAULTS,
-    "fig1": FIG1_DEFAULTS,
-    "failure-demo": FAILURE_DEFAULTS,
 }
 
 
@@ -121,7 +109,7 @@ class UsageError(Exception):
 
 
 def _merge_config(command: str, config_path, set_items) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    cfg = dict(_COMMANDS[command].defaults)
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -134,7 +122,7 @@ def _merge_config(command: str, config_path, set_items) -> dict:
         cfg[key.strip()] = value.strip()
     # a command that builds a model or a profile also accepts the parameters
     # of the chosen kind or variant
-    known = set(_DEFAULTS[command])
+    known = set(_COMMANDS[command].defaults)
     if "model.kind" in known:
         known |= keys_read(model_from_config, cfg)
     if "profile.variant" in known:
@@ -159,17 +147,10 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _comments(command: str, cfg) -> list:
-    return config_comments(__version__, command, cfg)
-
-
-def run_dist(cfg, out_dir: Path) -> list:
+def run_dist(cfg, out_dir: Path, comments: list) -> list:
     model = model_from_config(cfg)
-    profile = profile_from_config(cfg)
-    policy = _grid_policy(cfg)
-    dist = build_distribution(model, profile, policy)
+    dist = build_distribution(model, profile_from_config(cfg), _grid_policy(cfg))
     summary = summarize(dist)
-    comments = _comments("dist", cfg)
     files = [
         write_distribution_csv(out_dir / "distribution.csv", dist, comments,
                                max_rows=get_int(cfg, "output.max_rows")),
@@ -195,14 +176,13 @@ def _scaling_builder(cfg):
                      "tail-saddle, tail-linear or tail-algebraic)" % preset)
 
 
-def run_scaling(cfg, out_dir: Path) -> list:
+def run_scaling(cfg, out_dir: Path, comments: list) -> list:
     n_values = get_int_list(cfg, "sweep.n_list")
     records, skipped = sweep(_scaling_builder(cfg), n_values, _grid_policy(cfg))
     fit = None
     if len(records) >= 3:
         fit = fit_power_law(records)
         print("kappa_fit=%r r2=%r" % (fit.kappa, fit.r_squared))
-    comments = _comments("scaling", cfg)
     files = [write_sweep_csv(out_dir / "sweep.csv", records, fit, comments, skipped)]
     if fit is None:
         raise DivergenceError("fewer than 3 sweep points survived; no fit "
@@ -210,14 +190,13 @@ def run_scaling(cfg, out_dir: Path) -> list:
     return files
 
 
-def run_oracle(cfg, out_dir: Path) -> list:
+def run_oracle(cfg, out_dir: Path, comments: list) -> list:
     n, coupling = get_int(cfg, "oracle.n"), get_float(cfg, "oracle.j")
     spectrum = ising_chain_spectrum(n, coupling)
     profile = profile_from_config(cfg)
     model = IsingChain(n_particles=n, coupling=coupling)
     state = prepare_state(spectrum, profile, phase_seed=get_int(cfg, "seed"))
     report = compare_discrete_continuum(state, profile, model, _grid_policy(cfg))
-    comments = _comments("oracle", cfg)
     row = (report.mean_discrete, report.width_discrete, report.mean_continuum,
            report.width_continuum, report.mean_rel_diff, report.width_rel_diff,
            report.populated_levels, report.sub_resolution)
@@ -233,10 +212,9 @@ def run_oracle(cfg, out_dir: Path) -> list:
     return files
 
 
-def run_fig1(cfg, out_dir: Path) -> list:
+def run_fig1(cfg, out_dir: Path, comments: list) -> list:
     model = model_from_config(cfg)
     policy = _grid_policy(cfg)
-    comments = _comments("fig1", cfg)
     n_curve = get_int(cfg, "curve_points")
     if n_curve < 2:
         raise ValueError("curve_points must be at least 2, got %d" % n_curve)
@@ -268,12 +246,11 @@ def run_fig1(cfg, out_dir: Path) -> list:
     return files
 
 
-def run_failure_demo(cfg, out_dir: Path) -> list:
+def run_failure_demo(cfg, out_dir: Path, comments: list) -> list:
     report = failure_mode_demo(model_from_config(cfg), get_float(cfg, "demo.eta"),
                                get_float(cfg, "demo.e_ref"),
                                threshold=get_float(cfg, "demo.threshold"),
                                policy=_grid_policy(cfg))
-    comments = _comments("failure-demo", cfg)
     row = (report.outcome, report.ratio, report.threshold, report.detail)
     files = [write_csv(out_dir / "failure_report.csv",
                        ("outcome", "ratio", "threshold", "detail"),
@@ -282,12 +259,23 @@ def run_failure_demo(cfg, out_dir: Path) -> list:
     return files
 
 
-_RUNNERS = {
-    "dist": run_dist,
-    "scaling": run_scaling,
-    "oracle": run_oracle,
-    "fig1": run_fig1,
-    "failure-demo": run_failure_demo,
+class _Command(NamedTuple):
+    defaults: dict
+    run: Callable   # run(cfg, out_dir, comments) -> the paths written
+    help: str
+
+
+_COMMANDS = {
+    "dist": _Command(DIST_DEFAULTS, run_dist,
+                     "build one distribution and write distribution/summary CSVs"),
+    "scaling": _Command(SCALING_DEFAULTS, run_scaling,
+                        "sweep system sizes and fit the sharpness exponent"),
+    "oracle": _Command(ORACLE_DEFAULTS, run_oracle,
+                       "discrete vs continuum comparison on the spin chain"),
+    "fig1": _Command(FIG1_DEFAULTS, run_fig1, "paired amplitude/distribution curves "
+                     "for a bounded and a two-lump profile"),
+    "failure-demo": _Command(FAILURE_DEFAULTS, run_failure_demo,
+                             "broad or divergent regime of a power-law tail"),
 }
 
 
@@ -298,13 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sweep system sizes, compare against exact spectra.")
     parser.add_argument("--version", action="version", version="sharpdist %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("dist", "build one distribution and write distribution/summary CSVs"),
-            ("scaling", "sweep system sizes and fit the sharpness exponent"),
-            ("oracle", "discrete vs continuum comparison on the spin chain"),
-            ("fig1", "paired amplitude/distribution curves for a bounded and a two-lump profile"),
-            ("failure-demo", "broad or divergent regime of a power-law tail")):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config entry (repeatable)")
@@ -314,24 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args.command, args.config, args.set)
         out_dir = _out_dir(args)
-        files = _RUNNERS[args.command](cfg, out_dir)
+        files = _COMMANDS[args.command].run(
+            cfg, out_dir, config_comments(__version__, args.command, cfg))
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DivergenceError, NoMaximumError) as exc:
+    except (DivergenceError, NoMaximumError, ConvergenceError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print("ConvergenceError: %s" % exc, file=sys.stderr)
-        return 4
+        return 4 if isinstance(exc, ConvergenceError) else 3
     for f in files:
         print("wrote %s" % f)
     return 0

@@ -27,8 +27,6 @@ BLOCK_ROWS = 8192
 
 
 def format_value(value) -> str:
-    if type(value) is float:   # the common cell; float subclasses go on below
-        return repr(value)
     if isinstance(value, np.generic):   # a numpy scalar is written as its Python value
         value = value.item()
     if value is None:

@@ -26,4 +26,8 @@ class FitError(ToolkitError, ValueError):
 
 
 class ConvergenceError(ToolkitError, ArithmeticError):
-    """Grid refinement reached its point cap without meeting its tolerance."""
+    """An iterative computation stopped at its cap without meeting its tolerance.
+
+    Grid refinement that reaches its point cap or a step near the float
+    spacing, and a saddle-point Newton solve that runs out of steps.
+    """

@@ -14,9 +14,11 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 LN2 = math.log(2.0)
 
-# the Newton solve stops at this relative step, or after _MAX_NEWTON_ITER steps
+# the Newton solve stops at this relative step; after _MAX_NEWTON_ITER steps it raises
 _NEWTON_REL_TOL = 1e-13
 _MAX_NEWTON_ITER = 200
 
@@ -99,7 +101,11 @@ def compensated_sum(values) -> float:
 
 
 def newton_bisect_root(g, dg, lo: float, hi: float) -> float:
-    """Root of g inside the bracket [lo, hi], Newton steps safeguarded by bisection."""
+    """Root of g inside the bracket [lo, hi], Newton steps safeguarded by bisection.
+
+    Raises ``ConvergenceError`` when ``_MAX_NEWTON_ITER`` steps leave the
+    step above its tolerance.
+    """
     a, b = float(lo), float(hi)
     if a == b:
         return a
@@ -128,6 +134,7 @@ def newton_bisect_root(g, dg, lo: float, hi: float) -> float:
             x_new = 0.5 * (a + b)
             if abs(x_new - x) <= _NEWTON_REL_TOL * max(abs(x_new), 1e-300):
                 return x_new
-        x = x_new
-    return x
+        x_last, x = x, x_new
+    raise ConvergenceError("Newton solve not converged after %d steps: bracket [%r, %r], "
+                           "last step %r -> %r" % (_MAX_NEWTON_ITER, a, b, x_last, x))
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpdist import cli
-from sharpdist.cli import _DEFAULTS, _RUNNERS, main
+from sharpdist import IdealGas, UniformWindow, build_distribution, cli, numerics
+from sharpdist.cli import _COMMANDS, main
 from sharpdist.configio import _Recording
 
 
@@ -116,7 +116,8 @@ def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
     ("grid.max_points=100", "max_points must equal initial_points (a fixed grid) or be at "
                             "least 2 * initial_points - 1 = 129 (one halving), got 100"),
     ("output.max_rows=-1", "max_rows must not be negative"),
-], ids=["max-points-below-initial", "negative-max-rows"])
+    ("grid.initial_points=8", "initial_points must be at least 9"),
+], ids=["max-points-below-initial", "negative-max-rows", "initial-points-below-9"])
 def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, capsys,
                                                                   setting, message):
     out = tmp_path / "out"
@@ -174,6 +175,62 @@ def test_dist_grid_below_the_float_spacing_exits_4(tmp_path, capsys):
     assert err.startswith("ConvergenceError: segment [0.99999999") and ", 1.0]" in err
     assert "their step" in err and "energies would repeat" in err
     assert list(out.iterdir()) == []
+
+
+def test_dist_spent_newton_cap_exits_4(tmp_path, capsys, monkeypatch):
+    """summarize lets the saddle solve's ConvergenceError through: exit 4, no file."""
+    monkeypatch.setattr(numerics, "_MAX_NEWTON_ITER", 1)
+    out = tmp_path / "out"
+    assert main(["dist", "--out", str(out), "--set", "model.n=1000",
+                 "--set", "profile.variant=exponential-tail",
+                 "--set", "profile.delta=1.0", "--set", "profile.kappa=1.0"]) == 4
+    assert capsys.readouterr().err.startswith("ConvergenceError: Newton solve not converged")
+    assert list(out.iterdir()) == []
+
+
+def test_dist_prediction_outside_the_model_domain_is_written_as_nan(tmp_path):
+    """The window's edge at 300 lies outside IsingChain(1000)'s domain [-999, 0]."""
+    assert main(["dist", "--out", str(tmp_path), "--set", "model.kind=ising-chain",
+                 "--set", "model.n=1000", "--set", "profile.e_min=-300",
+                 "--set", "profile.e_max=300"]) == 0
+    _, header, rows = read_rows(tmp_path / "summary.csv")
+    row = dict(zip(header, rows[0]))
+    assert [row[k] for k in ("eps_pred", "E_mean_pred", "dE_pred")] == ["nan"] * 3
+    assert math.isfinite(float(row["E_mean"]))
+
+
+def test_dist_max_rows_0_writes_the_build_grid(tmp_path):
+    assert main(["dist", "--out", str(tmp_path), "--set", "output.max_rows=0"]) == 0
+    _, _, rows = read_rows(tmp_path / "distribution.csv")
+    dist = build_distribution(IdealGas(100), UniformWindow(0.0, 1.0))
+    assert len(rows) == dist.grid.size == 4097
+    assert np.array_equal([float(r[0]) for r in rows], dist.grid)
+
+
+def test_dist_max_rows_decimates_and_keeps_the_last_point(tmp_path):
+    """1,000 rows of a 4,097-point grid: every 5th point, then the last one."""
+    assert main(["dist", "--out", str(tmp_path), "--set", "output.max_rows=1000"]) == 0
+    _, _, rows = read_rows(tmp_path / "distribution.csv")
+    grid = build_distribution(IdealGas(100), UniformWindow(0.0, 1.0)).grid
+    e = [float(r[0]) for r in rows]
+    assert len(e) == 821 and e[-1] == 1.0
+    assert np.array_equal(e, np.append(grid[::5], grid[-1]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "--set", "foo"], "usage error: --set expects key=value, got 'foo'"),
+    (["scaling", "--set", "sweep.preset=bogus"],
+     "usage error: unknown sweep preset 'bogus' (use bounded, tail-constant, "
+     "tail-saddle, tail-linear or tail-algebraic)"),
+    (["dist", "--set", "model.kind=custom-entropy", "--set", "model.form=cubic",
+      "--set", "model.coeff=1.0"],
+     "config error: unknown custom entropy form 'cubic' (use power or log)"),
+], ids=["set-without-equals", "unknown-preset", "unknown-entropy-form"])
+def test_usage_and_config_errors_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1",
@@ -241,14 +298,15 @@ _RECORDED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_default_key_is_read_by_its_command(tmp_path, command):
+    defaults, run, _ = _COMMANDS[command]
     read = set()
     for overrides in _RECORDED_RUNS[command]:
-        cfg = _Recording({**_DEFAULTS[command], **overrides})
-        _RUNNERS[command](cfg, tmp_path)
+        cfg = _Recording({**defaults, **overrides})
+        run(cfg, tmp_path, [])   # no header: writing one would read every key
         read |= cfg.read
-    assert sorted(set(_DEFAULTS[command]) - read) == []
+    assert sorted(set(defaults) - read) == []
 
 
 def test_dist_nan_log_weight_is_config_error(tmp_path, capsys):

@@ -19,7 +19,8 @@ from sharpdist.distribution import (_COARSE_POINTS, _PEAK_REL_TOL, _WINDOW_NATS,
                                     _grow_right_edge, _log_weight, _peak_scan,
                                     _section_crossings, _section_max, _segment_points,
                                     export_curve)
-from sharpdist.numerics import compensated_sum
+from sharpdist import numerics
+from sharpdist.numerics import compensated_sum, newton_bisect_root
 
 from oracles import (algebraic_tail_mean, gamma_moments,
                      monomial_window_moments, two_lump_lower_fraction)
@@ -232,6 +233,29 @@ def test_saddle_solve_stops_once_a_newton_step_has_converged():
     assert scalar_calls <= 16
 
 
+def test_saddle_solve_that_runs_out_of_steps_raises(monkeypatch):
+    """One Newton step from the bracket [1024, 1536] reaches 1499.136; the root is 1500."""
+    monkeypatch.setattr(numerics, "_MAX_NEWTON_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"after 1 steps: bracket \[1024\.0, 1536\.0\], last step 1536\.0 "
+                             r"-> 1499\.136$"):
+        tail_profile_prediction(IdealGas(1000), ExponentialTail(delta=1.0, kappa=1.0))
+
+
+def test_newton_step_that_leaves_the_bracket_falls_back_to_bisection():
+    """From x = 50, Newton on atan(x - 1) steps to about -3674, outside [0, 100]."""
+    root = newton_bisect_root(lambda x: math.atan(x - 1.0),
+                              lambda x: 1.0 / (1.0 + (x - 1.0) ** 2), 0.0, 100.0)
+    assert root == pytest.approx(1.0, rel=1e-12)
+
+
+def test_summary_drops_a_prediction_outside_the_model_domain():
+    """The window's edge at 300 lies outside IsingChain(1000)'s domain [-999, 0]."""
+    summary = summarize(build_checked(IsingChain(1000), UniformWindow(-300.0, 300.0)))
+    assert (summary.eps_pred, summary.mean_pred, summary.width_pred) == (None, None, None)
+    assert math.isfinite(summary.mean) and math.isfinite(summary.width)
+
+
 def test_ln_density_values_are_log_state_counts():
     """The entropy at an energy, as summarize reports it: ln of the state count there."""
     gas = IdealGas(100)
@@ -397,11 +421,13 @@ def test_unconverged_refinement_raises_convergence_error():
 
 
 def test_settings_the_build_would_override_are_rejected():
-    """A cap below the first level, a bad refine_tol or a negative row budget raises ValueError.
+    """A too-small first level or cap, a bad refine_tol or a negative row budget raises ValueError.
 
     A build capped below initial_points could not refine, so it could not
     test its convergence either.
     """
+    with pytest.raises(ValueError, match="initial_points must be at least 9"):
+        GridPolicy(initial_points=8)
     with pytest.raises(ValueError, match="max_points"):
         GridPolicy(initial_points=4097, max_points=100)
     for tol in (0.0, -1e-10, math.inf, math.nan):
