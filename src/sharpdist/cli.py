@@ -55,7 +55,6 @@ DIST_DEFAULTS = {
     "profile.variant": "uniform-window",
     "profile.e_min": "0.0",
     "profile.e_max": "1.0",
-    "output.max_rows": "131073",
     **GRID_DEFAULTS,
 }
 
@@ -91,7 +90,6 @@ FIG1_DEFAULTS = {
     "bounded.ln_k": "0.0",
     "lumps.intervals": "0.0:0.5,0.8:1.0",
     "curve_points": "801",
-    "output.max_rows": "131073",
     **GRID_DEFAULTS,
 }
 
@@ -152,8 +150,7 @@ def run_dist(cfg, out_dir: Path, comments: list) -> list:
     dist = build_distribution(model, profile_from_config(cfg), _grid_policy(cfg))
     summary = summarize(dist)
     files = [
-        write_distribution_csv(out_dir / "distribution.csv", dist, comments,
-                               max_rows=get_int(cfg, "output.max_rows")),
+        write_distribution_csv(out_dir / "distribution.csv", dist, comments),
         write_summary_csv(out_dir / "summary.csv", model.n_particles, summary, comments),
     ]
     print("mean=%r width=%r ratio=%r" % (summary.mean, summary.width, summary.ratio))
@@ -226,20 +223,18 @@ def run_fig1(cfg, out_dir: Path, comments: list) -> list:
     lumps = Lumps.uniform(_parse_lump_intervals(get_str(cfg, "lumps.intervals")))
 
     profiles = (("bounded", bounded), ("lumps", lumps))
-    # both builds, and the first export's check of the row budget, come before
-    # any file is written, so a config error leaves no partial output
+    # both builds come before any file is written, so a config error leaves
+    # no partial output
     dists = [build_distribution(model, profile, policy) for _, profile in profiles]
     files = []
     for (tag, profile), dist in zip(profiles, dists):
-        dist_file = write_distribution_csv(out_dir / ("fig1_%s_dist.csv" % tag),
-                                           dist, comments,
-                                           max_rows=get_int(cfg, "output.max_rows"))
         lo = min(s[0] for s in profile.support())
         hi = max(s[1] for s in profile.support())
         curve_grid = np.linspace(max(lo, model.domain()[0]), hi, n_curve)
         files.append(write_amplitude_csv(out_dir / ("fig1_%s_amp.csv" % tag),
                                          profile, curve_grid, comments))
-        files.append(dist_file)
+        files.append(write_distribution_csv(out_dir / ("fig1_%s_dist.csv" % tag),
+                                            dist, comments))
         if tag == "lumps":
             fractions = lump_mass_fractions(dist)
             print("lump_fractions=%s" % ",".join(repr(f) for f in fractions))

@@ -8,7 +8,8 @@ identical inputs produce byte-identical files.
 Rows are formatted and streamed to a temp file ``BLOCK_ROWS`` at a time,
 and the temp file is renamed onto the target only once it is complete.
 The array-backed writers format a column block at a time and hand
-``write_csv`` each row as one joined line.
+``write_csv`` each row as one joined line.  A distribution file is the
+build grid itself, each point with its probability mass.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .distribution import export_curve
 
 # rows formatted and written per block: a few hundred kB of text
 BLOCK_ROWS = 8192
@@ -90,17 +89,14 @@ def _array_rows(*columns):
                                        for fmt, c in zip(formats, columns))))
 
 
-def write_distribution_csv(path, dist, comments=(), max_rows=None):
-    """Distribution curve as E,ln_w,w rows.
+def write_distribution_csv(path, dist, comments=()):
+    """The build grid as E,ln_w,mass rows: ``dist.grid``, ``dist.ln_w`` and ``dist.point_masses``.
 
-    ``max_rows`` caps the export per ``distribution.export_curve``: each
-    segment is stride-decimated, or resampled on a finer uniform grid when
-    its build grid is too coarse for a plain trapezoid over the file to
-    integrate to 1; None or 0 writes the build grid.
+    ``mass`` is each point's quadrature weight times W, so the column sums
+    to 1 and its E-weighted sum is the mean, with no second rule.
     """
-    grid, ln_w = export_curve(dist, max_rows)
-    return write_csv(path, ("E", "ln_w", "w"), _array_rows(grid, ln_w, np.exp(ln_w)),
-                     comments)
+    return write_csv(path, ("E", "ln_w", "mass"),
+                     _array_rows(dist.grid, dist.ln_w, dist.point_masses), comments)
 
 
 def write_summary_csv(path, n_particles, summary, comments=()):

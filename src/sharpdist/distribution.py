@@ -688,7 +688,8 @@ def tail_profile_prediction(model, profile: ExponentialTail) -> Prediction:
         return d2 / n - kap * (kap - 1.0) * energy ** (kap - 2.0) / dk
 
     lo, hi = model.domain()
-    x = np.ldexp(profile.delta, np.arange(-200, 201))
+    # a float delta: for a Python int, ldexp would take its float16 loop and overflow
+    x = np.ldexp(float(profile.delta), np.arange(-200, 201))
     x = x[(lo < x) & (x < hi)]
     with np.errstate(all="ignore"):
         gx = g(x)
@@ -743,44 +744,6 @@ def summarize(dist: EnergyDistribution) -> DistributionSummary:
         width_pred=pred.width,
         entropy_at_mean=float(dist.model.ln_density(mean)),
     )
-
-
-def export_curve(dist: EnergyDistribution, max_rows=None):
-    """(E, ln_w) of ``dist`` for a curve file of at most about ``max_rows`` rows.
-
-    Each segment may take max_rows // (number of segments) rows, at least 3.
-    A segment whose plain trapezoid rule over its points misses its mass by
-    more than ``refine_tol`` is resampled on the largest 2**k + 1 points
-    within that budget, with ln_w evaluated there, when those are more than
-    the build's; a trapezoid over the file then still integrates to 1 closely.
-    Every other segment is stride-decimated, always keeping its ends.  None
-    or 0 exports the build grid itself; a negative ``max_rows`` raises
-    ValueError.
-    """
-    if not max_rows:
-        return dist.grid, dist.ln_w
-    if max_rows < 0:
-        raise ValueError("max_rows must not be negative, got %r" % max_rows)
-    budget = max(3, int(max_rows) // len(dist.segments))
-    n_fine = 2 ** ((budget - 1).bit_length() - 1) + 1
-    lnh = _log_weight(dist.model, dist.profile)
-    grids, ln_ws = [], []
-    for seg, mass in zip(dist.segments, dist.segment_masses()):
-        g = dist.grid[seg.start:seg.stop]
-        lw = dist.ln_w[seg.start:seg.stop]
-        n = g.size
-        if n_fine > n and abs(float(np.trapezoid(np.exp(lw), g)) - mass) > dist.policy.refine_tol:
-            g, _ = _segment_points(seg.lo, seg.hi, seg.coordinate, n_fine)
-            lw = _probe(lnh, g) - dist.ln_norm
-        else:
-            stride = max(1, -(-(n - 1) // (budget - 1)))  # ceil division
-            idx = np.arange(0, n, stride)
-            if idx[-1] != n - 1:
-                idx = np.append(idx, n - 1)
-            g, lw = g[idx], lw[idx]
-        grids.append(g)
-        ln_ws.append(lw)
-    return np.concatenate(grids), np.concatenate(ln_ws)
 
 
 def refine_once(dist: EnergyDistribution) -> EnergyDistribution:

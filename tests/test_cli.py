@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpdist import IdealGas, UniformWindow, build_distribution, cli, numerics
+from sharpdist import (AlgebraicCutoff, IdealGas, Lumps, UniformWindow,
+                       build_distribution, cli, moments, numerics)
 from sharpdist.cli import _COMMANDS, main
 from sharpdist.configio import _Recording
+from sharpdist.numerics import compensated_sum
 
 
 def read_rows(path, column_names=None):
@@ -47,14 +49,34 @@ def test_dist_outputs_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_dist_distribution_file_normalized(tmp_path):
-    assert main(["dist", "--out", str(tmp_path),
-                 "--set", "grid.max_points=65537"]) == 0
-    _, header, rows = read_rows(tmp_path / "distribution.csv")
-    assert header == ["E", "ln_w", "w"]
+def assert_mass_column_normalized(path, e_mean):
+    """The file's mass column sums to 1 within 1e-12 and its weighted mean is ``e_mean``."""
+    _, header, rows = read_rows(path)
+    assert header == ["E", "ln_w", "mass"]
     e = np.array([float(r[0]) for r in rows])
-    w = np.array([float(r[2]) for r in rows])
-    assert np.trapezoid(w, e) == pytest.approx(1.0, abs=1e-6)
+    mass = np.array([float(r[2]) for r in rows])
+    total = compensated_sum(mass)
+    assert abs(total - 1.0) <= 1e-12
+    assert abs(compensated_sum(mass * e) / total / e_mean - 1.0) <= 1e-13
+
+
+def test_dist_distribution_file_normalized(tmp_path):
+    """Defaults, a tail, a LOG segment (AlgebraicTail(153)) and the spin-chain window."""
+    for i, settings in enumerate([
+            [],
+            ["model.n=1000", "profile.variant=exponential-tail", "profile.delta=1.0",
+             "profile.kappa=2.0"],
+            ["profile.variant=algebraic-tail", "profile.eta=153"],
+            ["model.kind=ising-chain", "model.n=1000", "profile.e_min=-300",
+             "profile.e_max=300"]]):
+        out = tmp_path / str(i)
+        argv = ["dist", "--out", str(out)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 0
+        _, header, rows = read_rows(out / "summary.csv")
+        assert_mass_column_normalized(out / "distribution.csv",
+                                      float(dict(zip(header, rows[0]))["E_mean"]))
 
 
 def test_dist_config_file_and_overrides(tmp_path):
@@ -102,10 +124,11 @@ def test_dist_non_integral_integer_key_is_config_error(tmp_path, capsys):
     assert "grid.max_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["profile.kapa", "model.v", "grid.window_nats"])
+@pytest.mark.parametrize("key", ["profile.kapa", "model.v", "grid.window_nats",
+                                 "output.max_rows"])
 def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
     # profile.kapa is a typo; model.v is read by no model kind; the window
-    # cut is a fixed 60 nats, not a setting
+    # cut is a fixed 60 nats, not a setting; distribution files have no row cap
     out = tmp_path / "out"
     assert main(["dist", "--out", str(out), "--set", key + "=5"]) == 2
     assert "unknown config key for dist: %s" % key in capsys.readouterr().err
@@ -115,9 +138,8 @@ def test_dist_unknown_key_is_usage_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("setting, message", [
     ("grid.max_points=100", "max_points must equal initial_points (a fixed grid) or be at "
                             "least 2 * initial_points - 1 = 129 (one halving), got 100"),
-    ("output.max_rows=-1", "max_rows must not be negative"),
     ("grid.initial_points=8", "initial_points must be at least 9"),
-], ids=["max-points-below-initial", "negative-max-rows", "initial-points-below-9"])
+], ids=["max-points-below-initial", "initial-points-below-9"])
 def test_dist_settings_the_build_would_override_are_config_errors(tmp_path, capsys,
                                                                   setting, message):
     out = tmp_path / "out"
@@ -199,22 +221,13 @@ def test_dist_prediction_outside_the_model_domain_is_written_as_nan(tmp_path):
     assert math.isfinite(float(row["E_mean"]))
 
 
-def test_dist_max_rows_0_writes_the_build_grid(tmp_path):
-    assert main(["dist", "--out", str(tmp_path), "--set", "output.max_rows=0"]) == 0
+def test_dist_writes_the_build_grid_with_its_point_masses(tmp_path):
+    assert main(["dist", "--out", str(tmp_path)]) == 0
     _, _, rows = read_rows(tmp_path / "distribution.csv")
     dist = build_distribution(IdealGas(100), UniformWindow(0.0, 1.0))
     assert len(rows) == dist.grid.size == 4097
-    assert np.array_equal([float(r[0]) for r in rows], dist.grid)
-
-
-def test_dist_max_rows_decimates_and_keeps_the_last_point(tmp_path):
-    """1,000 rows of a 4,097-point grid: every 5th point, then the last one."""
-    assert main(["dist", "--out", str(tmp_path), "--set", "output.max_rows=1000"]) == 0
-    _, _, rows = read_rows(tmp_path / "distribution.csv")
-    grid = build_distribution(IdealGas(100), UniformWindow(0.0, 1.0)).grid
-    e = [float(r[0]) for r in rows]
-    assert len(e) == 821 and e[-1] == 1.0
-    assert np.array_equal(e, np.append(grid[::5], grid[-1]))
+    for column, values in enumerate((dist.grid, dist.ln_w, dist.point_masses)):
+        assert np.array_equal([float(r[column]) for r in rows], values)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -233,12 +246,12 @@ def test_usage_and_config_errors_exit_2_and_write_nothing(tmp_path, capsys, argv
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("setting", ["output.max_rows=-1", "lumps.intervals=-2:-1",
-                                     "curve_points=-1", "curve_points=0"],
-                         ids=["negative-max-rows", "lumps-outside-domain",
-                              "negative-curve-points", "zero-curve-points"])
+@pytest.mark.parametrize("setting", ["lumps.intervals=-2:-1", "curve_points=-1",
+                                     "curve_points=0"],
+                         ids=["lumps-outside-domain", "negative-curve-points",
+                              "zero-curve-points"])
 def test_fig1_config_error_leaves_no_partial_output(tmp_path, capsys, setting):
-    """Both builds, the row-budget check and the curve size come before fig1 writes any file."""
+    """Both builds and the curve size come before fig1 writes any file."""
     out = tmp_path / "out"
     assert main(["fig1", "--out", str(out), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -273,10 +286,11 @@ def test_keys_of_the_chosen_model_kind_are_known(tmp_path):
 
 @pytest.mark.parametrize("argv, key", [
     (["dist", "--set", "seed=1"], "seed"),
-    (["scaling", "--set", "output.max_rows=10"], "output.max_rows"),
+    (["scaling", "--set", "curve_points=10"], "curve_points"),
+    (["fig1", "--set", "output.max_rows=0"], "output.max_rows"),
     (["dist", "--set", "model.kind=custom-entropy", "--set", "model.form=log",
       "--set", "model.coeff=1.5", "--set", "model.v=2"], "model.v"),
-], ids=["dist-seed", "scaling-max-rows", "custom-entropy-v"])
+], ids=["dist-seed", "scaling-curve-points", "fig1-max-rows", "custom-entropy-v"])
 def test_keys_no_command_reads_are_usage_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
@@ -437,14 +451,17 @@ def test_fig1_writes_paired_curves(tmp_path):
     # distribution concentrates near the top of the highest populated region
     _, header, rows = read_rows(tmp_path / "fig1_lumps_dist.csv")
     e = np.array([float(r[0]) for r in rows])
-    w = np.array([float(r[2]) for r in rows])
-    assert np.all(w[e < 0.5] < 1e-40)
-    assert np.trapezoid(w, e) == pytest.approx(1.0, abs=1e-6)
+    ln_w = np.array([float(r[1]) for r in rows])
+    assert np.all(ln_w[e < 0.5] < math.log(1e-40))
     _, _, rows_b = read_rows(tmp_path / "fig1_bounded_dist.csv")
     e_b = np.array([float(r[0]) for r in rows_b])
-    w_b = np.array([float(r[2]) for r in rows_b])
-    e_peak = e_b[np.argmax(w_b)]
+    ln_w_b = np.array([float(r[1]) for r in rows_b])
+    e_peak = e_b[np.argmax(ln_w_b)]
     assert 0.9 < e_peak <= 1.0
+    for tag, profile in (("bounded", AlgebraicCutoff(0.3, 1.0, 2.0)),
+                         ("lumps", Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]))):
+        e_mean, _ = moments(build_distribution(IdealGas(100), profile))
+        assert_mass_column_normalized(tmp_path / ("fig1_%s_dist.csv" % tag), e_mean)
 
 
 def test_fig1_lump_intervals_accept_a_trailing_comma(tmp_path):

@@ -17,8 +17,7 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ConvergenceError,
 from sharpdist.distribution import (_COARSE_POINTS, _PEAK_REL_TOL, _WINDOW_NATS,
                                     DEFAULT_POLICY, LINEAR, LOG, _component_window,
                                     _grow_right_edge, _log_weight, _peak_scan,
-                                    _section_crossings, _section_max, _segment_points,
-                                    export_curve)
+                                    _section_crossings, _section_max, _segment_points)
 from sharpdist import numerics
 from sharpdist.numerics import compensated_sum, newton_bisect_root
 
@@ -207,6 +206,14 @@ def test_tail_prediction_exponential():
     assert pred2.width == pytest.approx(width, rel=0.05)
 
 
+def test_tail_prediction_of_an_integer_delta_equals_the_float_one():
+    """An int delta scans its bracket in float64 too, so the mean 150000 is found at N = 1e5."""
+    model = IdealGas(100000)
+    pred = tail_profile_prediction(model, ExponentialTail(delta=1, kappa=1))
+    assert pred == tail_profile_prediction(model, ExponentialTail(delta=1.0, kappa=1))
+    assert pred.mean == 150000.0
+
+
 def test_tail_prediction_rejects_other_profiles():
     with pytest.raises(ValueError):
         tail_profile_prediction(IdealGas(100), UniformWindow(0.0, 1.0))
@@ -350,24 +357,6 @@ def test_distribution_pickles_and_reprs_without_addresses(profile, coordinates):
     assert not any("0x" in repr(seg) for seg in dist.segments)
 
 
-def test_export_resamples_an_ln_e_segment_uniformly_in_ln_e():
-    """The exported rows of an ln E segment span its exact ends, evenly in ln E.
-
-    IdealGas(100) x AlgebraicTail(153) is linear up to its knot at 1 and
-    gridded in ln E beyond it; a trapezoid over the exported rows in E
-    still integrates to 1 closely.
-    """
-    dist = build_distribution(IdealGas(100), AlgebraicTail(decay=153.0))
-    seg = dist.segments[-1]
-    assert seg.coordinate is LOG
-    energies, ln_w = export_curve(dist, 131073)
-    rows = energies[np.flatnonzero(energies == seg.lo)[-1]:]
-    assert rows[0] == seg.lo and rows[-1] == seg.hi
-    spacing = np.diff(np.log(rows))
-    assert np.max(np.abs(spacing / spacing[0] - 1.0)) < 1e-9
-    assert abs(float(np.trapezoid(np.exp(ln_w), energies)) - 1.0) < 1e-6
-
-
 # 3 + u + u^2 + u^3 + u^4 + u^5: degree 5, and positive for u >= -1
 _QUINTIC = np.polynomial.Polynomial([3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -421,7 +410,7 @@ def test_unconverged_refinement_raises_convergence_error():
 
 
 def test_settings_the_build_would_override_are_rejected():
-    """A too-small first level or cap, a bad refine_tol or a negative row budget raises ValueError.
+    """A too-small first level or cap, or a bad refine_tol, raises ValueError.
 
     A build capped below initial_points could not refine, so it could not
     test its convergence either.
@@ -433,9 +422,6 @@ def test_settings_the_build_would_override_are_rejected():
     for tol in (0.0, -1e-10, math.inf, math.nan):
         with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
             GridPolicy(refine_tol=tol)
-    dist = build_checked(IdealGas(100), UniformWindow(0.0, 1.0))
-    with pytest.raises(ValueError, match="max_rows"):
-        export_curve(dist, -1)
 
 
 @pytest.mark.parametrize("n_particles", [100, 402])
