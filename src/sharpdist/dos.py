@@ -7,9 +7,11 @@ the prefactor choices made here.
 
 Models expose three things: ``ln_density(E)`` for the total system,
 ``entropy_slopes(e)`` per particle (ds/de, d2s/de2), and a ``domain()``
-interval outside which ``ln_density`` is -inf.  The two views are tied
-together by ln_density(E) = N * s(E/N) + const.  Both take a float or an
-array and give floats for a float; the slopes do not check the domain.
+interval outside which ``ln_density`` is -inf (the interval mask of
+``numerics``: open at 0 for the gas, at both ends for a custom entropy).
+The two views are tied together by ln_density(E) = N * s(E/N) + const.
+Both take a float or an array and give floats for a float; the slopes do
+not check the domain.
 
 ``scipy.special`` supplies log-gamma and its derivatives for the spin
 chain only; it is imported where the chain uses it, so ``import sharpdist``
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import LN2, _finish, _float_or_array, _on_half_line
+from .numerics import LN2, _finish, _float_or_array, _on_interval
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,9 @@ class IdealGas:
         return (0.0, math.inf)
 
     def ln_density(self, energy):
-        return _on_half_line(np.asarray(energy, dtype=float), False,
-                             lambda e: self.growth_exponent * np.log(e) + self.ln_prefactor,
-                             1.0)
+        return _on_interval(np.asarray(energy, dtype=float), self.domain(),
+                            lambda e: self.growth_exponent * np.log(e) + self.ln_prefactor,
+                            1.0, open_lo=True)
 
     def entropy_slopes(self, e):
         e = _float_or_array(e)
@@ -133,13 +135,13 @@ class IsingChain:
 
     def ln_density(self, energy):
         from scipy.special import gammaln
-        e_arr = np.asarray(energy, dtype=float)
-        inside = (e_arr >= self.band_bottom) & (e_arr <= 0.0)
-        k = np.where(inside, self._bond_index(e_arr), 0.0)
         n = self.n_particles
-        vals = LN2 + gammaln(n) - gammaln(k + 1.0) - gammaln(n - k)
-        out = np.where(inside, vals, -np.inf)
-        return _finish(e_arr, out)
+
+        def ln_g(e):
+            k = self._bond_index(e)
+            return LN2 + gammaln(n) - gammaln(k + 1.0) - gammaln(n - k)
+        return _on_interval(np.asarray(energy, dtype=float), self.domain(), ln_g,
+                            self.band_bottom)
 
     def entropy_slopes(self, e):
         from scipy.special import polygamma, psi
@@ -183,13 +185,14 @@ class CustomEntropy:
         return (self.n_particles * lo, self.n_particles * hi)
 
     def ln_density(self, energy):
-        e_arr = np.asarray(energy, dtype=float)
-        lo, hi = self.domain()
-        inside = (e_arr > lo) & (e_arr < hi)
-        per = np.where(inside, e_arr / self.n_particles, 1.0)
-        vals = self.n_particles * np.asarray(self.entropy(per), dtype=float) + self.ln_prefactor
-        out = np.where(inside, vals, -np.inf)
-        return _finish(e_arr, out)
+        n = self.n_particles
+
+        def ln_g(e):
+            vals = n * np.asarray(self.entropy(e / n), dtype=float) + self.ln_prefactor
+            return vals if vals.shape == e.shape else np.full(e.shape, vals)  # a scalar broadcasts
+        # outside energies are evaluated at e = 1 per particle
+        return _on_interval(np.asarray(energy, dtype=float), self.domain(), ln_g, float(n),
+                            open_lo=True, open_hi=True)
 
     def entropy_slopes(self, e):
         e = _float_or_array(e)

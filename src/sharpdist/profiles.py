@@ -1,9 +1,11 @@
 """Squared-amplitude shapes |a(E)|^2 as log-scale functions with explicit support.
 
-Every profile returns ln|a(E)|^2 up to its additive constant ``ln_scale``;
-the normalization constant is never chosen here, it is fixed once the shape
-is combined with a density of states.  Outside the declared support the
-value is -inf.  Cutoff shapes vanish continuously at their upper edge.
+Every profile returns ln|a(E)|^2 up to an additive constant (``ln_scale``;
+0 for the flat ``Lumps``, of which ``UniformWindow`` is the one-interval
+case).  The normalization constant is never chosen here, it is fixed once
+the shape is combined with a density of states.  Outside the declared
+support the value is -inf.  Cutoff shapes vanish continuously at their
+upper edge.
 
 The bump-like cutoff shapes are defined symmetrically around their anchor
 ``e0`` (the distance |E - e0| enters the formula), so the support extends
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _finish, _on_half_line, log_one_minus_exp
+from .numerics import _finish, _on_interval, log_one_minus_exp
 
 INF = math.inf
 
@@ -157,9 +159,8 @@ class ExponentialTail(AmplitudeProfile):
         return [(0.0, INF)]
 
     def ln_amp_sq(self, energy):
-        return _on_half_line(np.asarray(energy, dtype=float), True,
-                             lambda e: self.ln_scale - (e / self.delta) ** self.kappa,
-                             0.0)
+        return _on_interval(np.asarray(energy, dtype=float), (0.0, INF),
+                            lambda e: self.ln_scale - (e / self.delta) ** self.kappa, 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,34 +184,8 @@ class AlgebraicTail(AmplitudeProfile):
         return (self.e_ref,)
 
     def ln_amp_sq(self, energy):
-        e_arr = np.asarray(energy, dtype=float)
-        nonneg = e_arr >= 0.0
-        beyond = e_arr > self.e_ref
-        safe = np.where(beyond, e_arr, self.e_ref)
-        vals = np.where(beyond, -self.decay * np.log(safe / self.e_ref), 0.0)
-        out = np.where(nonneg, vals + self.ln_scale, -np.inf)
-        return _finish(e_arr, out)
-
-
-@dataclass(frozen=True)
-class UniformWindow(AmplitudeProfile):
-    """Flat shape on the closed interval [e_min, e_max]."""
-
-    e_min: float
-    e_max: float
-
-    def __post_init__(self):
-        if not self.e_max > self.e_min:
-            raise ValueError("e_max must exceed e_min")
-
-    def support(self):
-        return [(self.e_min, self.e_max)]
-
-    def ln_amp_sq(self, energy):
-        e_arr = np.asarray(energy, dtype=float)
-        inside = (e_arr >= self.e_min) & (e_arr <= self.e_max)
-        out = np.where(inside, 0.0, -np.inf)
-        return _finish(e_arr, out)
+        return _on_interval(np.asarray(energy, dtype=float), (0.0, INF), lambda e: self.ln_scale
+                            - self.decay * np.log(np.maximum(e, self.e_ref) / self.e_ref), 0.0)
 
 
 @dataclass(frozen=True)
@@ -242,19 +217,28 @@ class Lumps(AmplitudeProfile):
 
     def ln_amp_sq(self, energy):
         e_arr = np.asarray(energy, dtype=float)
+        least, most = e_arr.min(initial=INF), e_arr.max(initial=-INF)  # NaN when any is NaN
+        if any(lo <= least and most <= hi for lo, hi in self.intervals):
+            return _finish(e_arr, np.zeros(e_arr.shape))  # one lump holds every energy
         inside = np.zeros(e_arr.shape, dtype=bool)
         for lo, hi in self.intervals:
             inside |= (e_arr >= lo) & (e_arr <= hi)
         return _finish(e_arr, np.where(inside, 0.0, -np.inf))
 
 
+def UniformWindow(e_min, e_max):
+    """Flat shape on the closed interval [e_min, e_max]: the lumps profile of one interval."""
+    if not e_max > e_min:
+        raise ValueError("e_max must exceed e_min")
+    return Lumps(((e_min, e_max),))
+
+
 def profile_classes():
-    """Mapping from variant name to profile class."""
+    """Mapping from variant name to profile class (a uniform window is a ``Lumps``)."""
     return {
         "algebraic-cutoff": AlgebraicCutoff,
         "exponential-cutoff": ExponentialCutoff,
         "exponential-tail": ExponentialTail,
         "algebraic-tail": AlgebraicTail,
-        "uniform-window": UniformWindow,
         "lumps": Lumps,
     }

@@ -59,10 +59,15 @@ def sweep_point(builder, n_particles: int, policy=DEFAULT_POLICY) -> SweepRecord
 def sweep(builder, n_values, policy=DEFAULT_POLICY):
     """Sweep records over strictly increasing system sizes (at least 3).
 
-    A size whose build diverges, has no maximum or misses the model's
-    domain is skipped.  Returns ``(records, skipped)``, where ``skipped``
-    holds one "N=<size> skipped: <reason>" note per skipped size.
+    A size must be integral (100.0 is, 100.7 raises ValueError).  A size
+    whose build diverges, has no maximum or misses the model's domain is
+    skipped.  Returns ``(records, skipped)``, where ``skipped`` holds one
+    "N=<size> skipped: <reason>" note per skipped size.
     """
+    n_values = list(n_values)
+    fractional = [n for n in n_values if n != int(n)]
+    if fractional:
+        raise ValueError("system size %r is not an integer" % (fractional[0],))
     n_values = [int(n) for n in n_values]
     if len(n_values) < 3:
         raise ValueError("need at least 3 system sizes")

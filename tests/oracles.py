@@ -91,24 +91,62 @@ def masked_exponential_tail_ln_amp_sq(profile, energy):
     return np.where(e >= 0.0, profile.ln_scale - scaled ** profile.kappa, -np.inf)
 
 
-def assert_bitwise_as_masked(evaluate, masked, inside):
+def masked_ising_chain_ln_density(model, energy):
+    from scipy.special import gammaln
+    e = np.asarray(energy, dtype=float)
+    inside = (e >= model.band_bottom) & (e <= 0.0)
+    k = np.where(inside, (e - model.band_bottom) / (2.0 * model.coupling), 0.0)
+    n = model.n_particles
+    vals = math.log(2.0) + gammaln(n) - gammaln(k + 1.0) - gammaln(n - k)
+    return np.where(inside, vals, -np.inf)
+
+
+def masked_custom_entropy_ln_density(model, energy):
+    """Open at both ends of the domain; outside energies evaluate s at 1 per particle."""
+    e = np.asarray(energy, dtype=float)
+    lo, hi = model.domain()
+    inside = (e > lo) & (e < hi)
+    per = np.where(inside, e / model.n_particles, 1.0)
+    vals = model.n_particles * np.asarray(model.entropy(per), dtype=float) + model.ln_prefactor
+    return np.where(inside, vals, -np.inf)
+
+
+def masked_algebraic_tail_ln_amp_sq(profile, energy):
+    e = np.asarray(energy, dtype=float)
+    beyond = e > profile.e_ref
+    safe = np.where(beyond, e, profile.e_ref)
+    vals = np.where(beyond, -profile.decay * np.log(safe / profile.e_ref), 0.0)
+    return np.where(e >= 0.0, vals + profile.ln_scale, -np.inf)
+
+
+def masked_lumps_ln_amp_sq(profile, energy):
+    e = np.asarray(energy, dtype=float)
+    inside = np.zeros(e.shape, dtype=bool)
+    for lo, hi in profile.intervals:
+        inside |= (e >= lo) & (e <= hi)
+    return np.where(inside, 0.0, -np.inf)
+
+
+def assert_bitwise_as_masked(evaluate, masked, probes):
     """``evaluate`` equals ``masked`` bit for bit on three kinds of input.
 
-    ``inside`` is an array of energies inside the domain or support: it is
-    passed whole and as the strided view of every second point that grid
-    refinement passes.  The mixed array holds -1, 0, NaN, +inf and a
-    subnormal; the 0-d array and the Python float must come back as floats.
+    ``probes`` is an array of energies, as a build probes an overlap piece:
+    all inside the domain or support, or across one of its gaps or ends.
+    It is passed whole and as the strided view of every second point that
+    grid refinement passes.  The mixed array holds -1, both zeros, NaN,
+    both infinities and a subnormal; the 0-d array and the Python float
+    must come back as floats.
     """
     def bits(values):
         return np.asarray(values, dtype=float).view(np.uint64)
 
-    for energies in (inside, inside[1::2]):
+    for energies in (probes, probes[1::2]):
         np.testing.assert_array_equal(bits(evaluate(energies)), bits(masked(energies)))
-    mixed = np.array([-1.0, 0.0, np.nan, np.inf, 5e-324, 2.5])
+    mixed = np.array([-1.0, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5])
     values = evaluate(mixed)
     np.testing.assert_array_equal(bits(values), bits(masked(mixed)))
-    assert values[2] == -np.inf  # NaN is outside
-    for scalar in (np.array(float(inside[0])), float(inside[0]), -1.0, math.nan):
+    assert values[3] == -np.inf  # NaN is outside
+    for scalar in (np.array(float(probes[0])), float(probes[0]), -1.0, math.nan):
         value = evaluate(scalar)
         assert type(value) is float
         assert bits(value) == bits(masked(scalar))

@@ -8,7 +8,6 @@ from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        profile_from_config)
 from sharpdist.configio import get_int, get_int_list, keys_read
 from sharpdist.csvio import config_comments
-from sharpdist.profiles import profile_classes
 
 
 def test_parse_kv_basics():
@@ -88,20 +87,22 @@ PROFILE_CONFIGS = {
     "lumps": {"profile.variant": "lumps", "profile.lumps": "0.0:0.5,0.8:1.0"},
 }
 
+# each profile with the variant that writes it: a uniform window is a Lumps profile
 PROFILES = [
-    AlgebraicCutoff(e0=0.25, e_max=1.5, alpha=2.5, ln_scale=-0.75),
-    ExponentialCutoff(e0=-1.0, e1=0.3, gamma_exp=1.5, e_max=2.0, ln_scale=0.5),
-    ExponentialTail(delta=2.0, kappa=0.8, ln_scale=1.25),
-    AlgebraicTail(decay=153.0, e_ref=1.0),
-    UniformWindow(0.0, 1.0),
-    Lumps.uniform([(0.0, 0.5), (0.8, 1.0)]),
+    ("algebraic-cutoff", AlgebraicCutoff(e0=0.25, e_max=1.5, alpha=2.5, ln_scale=-0.75)),
+    ("exponential-cutoff", ExponentialCutoff(e0=-1.0, e1=0.3, gamma_exp=1.5, e_max=2.0,
+                                             ln_scale=0.5)),
+    ("exponential-tail", ExponentialTail(delta=2.0, kappa=0.8, ln_scale=1.25)),
+    ("algebraic-tail", AlgebraicTail(decay=153.0, e_ref=1.0)),
+    ("uniform-window", UniformWindow(0.0, 1.0)),
+    ("lumps", Lumps.uniform([(0.0, 0.5), (0.8, 1.0)])),
 ]
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-def test_profile_round_trip_is_identity(profile):
+@pytest.mark.parametrize("variant, profile", PROFILES,
+                         ids=["profile%d" % i for i in range(len(PROFILES))])
+def test_profile_round_trip_is_identity(variant, profile):
     """A profile's config, echoed into a CSV header, reads back as the same profile."""
-    variant = {cls: name for name, cls in profile_classes().items()}[type(profile)]
     cfg = PROFILE_CONFIGS[variant]
     # the header's first two lines are the tool version and the command
     echoed = parse_kv_text("\n".join(config_comments("0.1.0", "dist", cfg)[2:]))

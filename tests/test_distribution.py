@@ -598,9 +598,11 @@ def test_nan_log_weight_raises_domain_error(profile, band):
 
 
 def test_lump_fractions_require_lumps_profile():
-    dist = build_checked(IdealGas(100), UniformWindow(0.0, 1.0))
+    dist = build_checked(IdealGas(100), ExponentialTail(1.0, 1.0))
     with pytest.raises(ValueError):
         lump_mass_fractions(dist)
+    # a uniform window is the lumps profile of one interval
+    assert lump_mass_fractions(build_checked(IdealGas(100), UniformWindow(0.0, 1.0))) == [1.0]
 
 
 @pytest.mark.parametrize("shift", [-3.0, 0.5, 7.0])

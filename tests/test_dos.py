@@ -12,7 +12,8 @@ from sharpdist import (CustomEntropy, DiscreteSpectrum, DomainError,
 from sharpdist.numerics import log_sum_exp
 
 from oracles import (assert_bitwise_as_masked, enumerate_open_chain,
-                     masked_ideal_gas_ln_density)
+                     masked_custom_entropy_ln_density, masked_ideal_gas_ln_density,
+                     masked_ising_chain_ln_density)
 
 
 def test_ideal_gas_ln_density_basics():
@@ -31,6 +32,34 @@ def test_ideal_gas_ln_density_unmasked_inside_the_domain(n_particles, ln_prefact
     assert_bitwise_as_masked(gas.ln_density,
                              lambda e: masked_ideal_gas_ln_density(gas, e),
                              np.geomspace(5e-324, 1e300, 1001))
+
+
+@pytest.mark.parametrize("n_particles, coupling", [(2, 1.0), (10, 1.0), (1000, 0.5)])
+def test_ising_chain_ln_density_unmasked_inside_the_domain(n_particles, coupling):
+    """Energies in the closed half band skip the masking and give the masked values bitwise."""
+    chain = IsingChain(n_particles, coupling)
+    band = np.linspace(chain.band_bottom, 0.0, 1001)
+    assert_bitwise_as_masked(chain.ln_density,
+                             lambda e: masked_ising_chain_ln_density(chain, e),
+                             np.append(band, -0.0))
+
+
+@pytest.mark.parametrize("entropy, domain", [
+    (lambda e: 1.5 * np.log1p(e), (0.0, math.inf)),
+    (lambda e: 2.0 * np.sqrt(e) - e, (0.5, 2.0)),
+    (lambda e: 0.0, (-1.0, 3.0)),   # a scalar entropy broadcasts
+], ids=["half-line", "interval", "constant"])
+def test_custom_entropy_ln_density_unmasked_inside_the_open_domain(entropy, domain):
+    """Energies inside the open domain skip the masking; both ends stay outside."""
+    model = CustomEntropy(40, entropy=entropy, entropy_d1=entropy, entropy_d2=entropy,
+                          domain_per_particle=domain, ln_prefactor=-2.5)
+    lo, hi = model.domain()
+    inside = np.linspace(max(lo, -1e3), min(hi, 1e3), 1001)[1:-1]
+    assert_bitwise_as_masked(model.ln_density,
+                             lambda e: masked_custom_entropy_ln_density(model, e),
+                             inside)
+    assert model.ln_density(lo) == -math.inf
+    assert model.ln_density(hi) == -math.inf
 
 
 def test_custom_entropy_reproduces_ideal_gas():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sharpdist import (AlgebraicCutoff, AlgebraicTail, ExponentialCutoff,
                        ExponentialTail, Lumps, UniformWindow)
 
-from oracles import assert_bitwise_as_masked, masked_exponential_tail_ln_amp_sq
+from oracles import (assert_bitwise_as_masked, masked_algebraic_tail_ln_amp_sq,
+                     masked_exponential_tail_ln_amp_sq, masked_lumps_ln_amp_sq)
 
 
 def test_algebraic_cutoff_values():
@@ -36,6 +37,40 @@ def test_exponential_tail_unmasked_inside_the_support(delta, kappa, ln_scale):
     inside = np.concatenate([[0.0], np.geomspace(5e-324, 1e100, 1000)])
     assert_bitwise_as_masked(prof.ln_amp_sq,
                              lambda e: masked_exponential_tail_ln_amp_sq(prof, e), inside)
+
+
+@pytest.mark.parametrize("decay, e_ref, ln_scale", [(153.0, 1.0, 0.0), (2.5, 1e-3, 3.5),
+                                                    (160.0, 2.0, -1e4)])
+def test_algebraic_tail_unmasked_inside_the_support(decay, e_ref, ln_scale):
+    """All-nonnegative energies skip the masking and still give the masked values bitwise."""
+    prof = AlgebraicTail(decay=decay, e_ref=e_ref, ln_scale=ln_scale)
+    inside = np.concatenate([[0.0, -0.0, e_ref, np.nextafter(e_ref, np.inf)],
+                             np.geomspace(5e-324, 1e300, 1000)])
+    assert_bitwise_as_masked(prof.ln_amp_sq,
+                             lambda e: masked_algebraic_tail_ln_amp_sq(prof, e), inside)
+
+
+@pytest.mark.parametrize("intervals", [((0.25, 1.0),), ((0.1, 0.4), (0.6, 0.9))],
+                         ids=["one-lump", "two-lumps"])
+def test_lumps_bitwise_as_masked_inside_a_lump_and_across_the_gap(intervals):
+    """Probes inside one lump skip the union mask; probes across a gap or end use it."""
+    prof = Lumps(intervals)
+
+    def masked(e):
+        return masked_lumps_ln_amp_sq(prof, e)
+    for lo, hi in intervals:
+        assert_bitwise_as_masked(prof.ln_amp_sq, masked, np.linspace(lo, hi, 1001))
+    across = np.linspace(intervals[0][0] - 0.05, intervals[-1][1] + 0.05, 1001)
+    assert_bitwise_as_masked(prof.ln_amp_sq, masked, across)
+    assert prof.ln_amp_sq(np.array([])).shape == (0,)
+
+
+def test_uniform_window_is_the_lumps_profile_of_one_interval():
+    assert UniformWindow(0.25, 1.0) == Lumps(((0.25, 1.0),))
+    assert UniformWindow(-3, 2) == Lumps(((-3.0, 2.0),))
+    assert type(UniformWindow(0.0, 1.0)) is Lumps
+    with pytest.raises(ValueError, match="e_max must exceed e_min"):
+        UniformWindow(1.0, 0.5)
 
 
 def test_uniform_window_values():

@@ -62,6 +62,18 @@ def test_sweep_validation():
         sweep(builder, [100, 100, 200])
 
 
+def test_sweep_rejects_non_integral_sizes():
+    """A fractional size raises and names itself instead of being truncated."""
+    builder = bounded_window_builder(1.0)
+    with pytest.raises(ValueError, match="100.7"):
+        sweep(builder, [100.7, 200.2, 300.9])
+    with pytest.raises(ValueError, match="200.5"):
+        sweep(builder, [100, 200.5, 300])
+    records, _ = sweep(builder, [100.0, 200.0, 300.0])
+    assert [rec.n_particles for rec in records] == [100, 200, 300]
+    assert all(type(rec.n_particles) is int for rec in records)
+
+
 def test_bounded_sweep_matches_closed_form_and_fits_inverse_law():
     n_values = (100, 251, 631, 1585, 3981, 10000)
     records, skipped = sweep(bounded_window_builder(1.0), n_values)
